@@ -7,7 +7,7 @@ from typing import Optional
 
 from . import exact
 from .characters import twisted_product
-from .enumeration import CapExceeded, count_exact
+from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
 from .exact import HalfInteger, QSqrt2, decimal_render, pow2
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
@@ -56,10 +56,10 @@ def ao_bounds(p, q, max_q=64):
     return lower, 2 * lower
 
 
-def bound_report(p, q, with_exact=True, max_degree=64):
-    """All bounds for one (p,q), with the exact count when feasible."""
+def bound_report(p, q, with_exact=True, max_degree=DEGREE_CAP):
+    """All bounds for one (p,q), with the exact count unless a count cap refuses it."""
     value = None
-    if with_exact and max(p, q) <= max_degree:
+    if with_exact and count_refusal(p, q, max_degree) is None:
         value = count_exact(p, q, max_degree)
     lower, upper = ao_bounds(p, q)
     return BoundReport(p, q, theorem_bound(p, q), lower, upper, value)
@@ -78,7 +78,7 @@ def ratio_table(p_values, k_values):
     return rows
 
 
-def growth_ratio(p, k, max_degree=64):
+def growth_ratio(p, k, max_degree=DEGREE_CAP):
     """|B_u(p,p+k)| p! (p+k)! / 2^(p(p+k)), the ratio against the limiting rate."""
     q = p + k
     value = count_exact(p, q, max_degree)

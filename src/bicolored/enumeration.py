@@ -1,4 +1,4 @@
-"""Exact |B_u(p,q)| by class sums, brute-force oracles, and the orbit census."""
+"""Exact |B_u(p,q)| by Polya's cycle-index form, brute-force oracles, and the orbit census."""
 
 import math
 from dataclasses import dataclass
@@ -9,17 +9,13 @@ from .perm import all_permutations, class_size, cycle_type, partitions
 
 DEGREE_CAP = 64   # count_exact refuses degrees beyond this without an override
 CENSUS_CAP = 20   # orbit_census walks 2^(p q) subsets; cap on p*q
+# count_exact's work model, P(min(p,q)) max(p,q)^2 multiply-adds: (36,36) is accepted
+# and takes a few seconds, (37,37) is refused
+COUNT_BUDGET = 25_000_000
 
 
 class CapExceeded(Exception):
     """A requested computation is beyond the configured resource cap."""
-
-
-@dataclass(frozen=True)
-class BicoloredCount:
-    p: int
-    q: int
-    value: int
 
 
 @dataclass(frozen=True)
@@ -31,33 +27,73 @@ class OrbitCensus:
     total: int
 
 
+def _partition_count(n):
+    """P(n) by Euler's pentagonal recurrence, without enumerating partitions."""
+    counts = [1] + [0] * n
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * counts[m - k * (3 * k + 1) // 2]
+            k += 1
+        counts[m] = total
+    return counts[n]
+
+
 @lru_cache(maxsize=None)
 def _count_by_classes(p, q):
-    # sum over partition pairs: class_size(lam) class_size(mu) 2^<lam,mu>,
-    # then divide by p! q! (exactly, by Burnside)
-    parts_p = [(t, class_size(t), sorted(t.counts.items())) for t in partitions(p)]
-    parts_q = [(t, class_size(t), sorted(t.counts.items())) for t in partitions(q)]
+    # Burnside over S_p x S_q, with the sum over the cycle types lam of S_q done by
+    # the cycle index (Harary & Palmer, ch. 4): for each cycle type mu of S_p,
+    #   sum_lam |C_lam| 2^<lam,mu> = H_q,  x_r = 2^(sum_s gcd(r,s) c_s(mu)),
+    #   H_n = sum_{r=1..n} (n-1)!/(n-r)! x_r H_(n-r),  H_0 = 1.
+    # Any order is exact; p <= q costs least, P(p) q^2 multiply-adds in O(q) memory.
     total = 0
-    for _, size_mu, items_mu in parts_q:
-        # weight[r] = sum over s of gcd(r,s) c_s(mu), so <lam,mu> = sum c_r weight[r]
-        weight = [0] * (p + 1)
-        for r in range(1, p + 1):
-            weight[r] = sum(math.gcd(r, s) * c for s, c in items_mu)
-        for _, size_lam, items_lam in parts_p:
-            e = sum(c * weight[r] for r, c in items_lam)
-            total += size_lam * size_mu * (1 << e)
+    for mu in partitions(p):
+        items = mu.counts.items()
+        x = [0] + [1 << sum(math.gcd(r, s) * c for s, c in items) for r in range(1, q + 1)]
+        h = [1]
+        for n in range(1, q + 1):
+            acc, falling = 0, 1   # falling = (n-1)!/(n-r)!
+            for r in range(1, n + 1):
+                acc += falling * x[r] * h[n - r]
+                falling *= n - r
+            h.append(acc)
+        total += class_size(mu) * h[q]
     order = math.factorial(p) * math.factorial(q)
     assert total % order == 0
     return total // order
 
 
+def count_refusal(p, q, max_degree=DEGREE_CAP):
+    """Why count_exact(p, q, max_degree) is refused as over a cap, or None if it runs.
+
+    The caps are max(p, q) <= max_degree and the work model
+    P(min(p,q)) max(p,q)^2 <= COUNT_BUDGET.
+    """
+    if max(p, q) > max_degree:
+        return "count_exact needs p, q <= %d" % max_degree
+    small, large = min(p, q), max(p, q)
+    work = _partition_count(small) * large * large
+    if work > COUNT_BUDGET:
+        return ("count_exact(%d, %d) needs P(%d)*%d^2 = %d steps, over the budget of %d"
+                % (p, q, small, large, work, COUNT_BUDGET))
+    return None
+
+
 def count_exact(p, q, max_degree=DEGREE_CAP):
-    """|B_u(p,q)| as the class-sum form of the permutation-pair average."""
+    """|B_u(p,q)| by Burnside's lemma over S_p x S_q in Polya's cycle-index form.
+
+    Enumerates the cycle types of the smaller side only and caches one value per
+    unordered pair. Raises CapExceeded when count_refusal names a cap.
+    """
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
-    if max(p, q) > max_degree:
-        raise CapExceeded("count_exact needs p, q <= %d" % max_degree)
-    return _count_by_classes(p, q)
+    refusal = count_refusal(p, q, max_degree)
+    if refusal:
+        raise CapExceeded(refusal)
+    return _count_by_classes(min(p, q), max(p, q))
 
 
 def count_naive(p, q):

@@ -1,6 +1,7 @@
 """End-to-end checks of the bicolored command line."""
 
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,22 @@ def test_bound_json(capsys):
 
 def test_bound_beyond_count_cap(capsys):
     code, out, _ = run_cli(capsys, "bound", "70", "3", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert "exact" not in record["results"]
+    assert "theorem_bound" in record["results"]
+
+
+def test_count_over_budget_exits_promptly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "64", "64")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("bicolored:")
+    assert "budget" in err
+
+
+def test_bound_over_budget_omits_exact(capsys):
+    code, out, _ = run_cli(capsys, "bound", "40", "40", "--format", "json")
     assert code == 0
     record = json.loads(out)
     assert "exact" not in record["results"]

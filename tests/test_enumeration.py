@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from bicolored.enumeration import (CENSUS_CAP, CapExceeded, count_exact, count_naive,
+from bicolored.enumeration import (CENSUS_CAP, COUNT_BUDGET, CapExceeded, _count_by_classes,
+                                   _partition_count, count_exact, count_naive, count_refusal,
                                    free_fraction, free_fraction_lower_bound, orbit_census)
+from bicolored.perm import class_size, partitions
 
 # row p = 1..8 of |B_u(p, q)| for q = 1..4, checked against direct subset orbits
 KNOWN_COUNTS = {
@@ -45,10 +47,35 @@ def test_count_matches_census():
                 assert count_exact(p, q) == orbit_census(p, q).orbit_count
 
 
+def _class_sum(p, q):
+    """Burnside as a double sum over cycle-type pairs (lam, mu): P(p) P(q) terms.
+
+    It treats the two sides alike, so unlike the production kernel it owes nothing
+    to enumerating one side only.
+    """
+    types_q = [(class_size(mu), mu.counts.items()) for mu in partitions(q)]
+    total = 0
+    for lam in partitions(p):
+        size_lam = class_size(lam)
+        for size_mu, items_mu in types_q:
+            e = sum(math.gcd(r, s) * a * b for r, a in lam.counts.items() for s, b in items_mu)
+            total += size_lam * size_mu << e
+    order = math.factorial(p) * math.factorial(q)
+    assert total % order == 0
+    return total // order
+
+
+def test_count_matches_class_sum():
+    pairs = [(p, q) for p in range(15) for q in range(15)] + [(6, 26), (26, 7), (10, 20)]
+    for p, q in pairs:
+        assert count_exact(p, q) == _class_sum(p, q), (p, q)
+
+
 def test_count_symmetry():
+    # count_exact sorts the pair; the kernel called in the other order walks the other side
     for p in range(0, 12):
         for q in range(0, 12):
-            assert count_exact(p, q) == count_exact(q, p)
+            assert count_exact(p, q) == count_exact(q, p) == _count_by_classes(max(p, q), min(p, q))
 
 
 def test_count_large_degree():
@@ -56,6 +83,24 @@ def test_count_large_degree():
     v = count_exact(20, 20)
     assert v % 10 == 6 and len(str(v)) == 84
     assert v * math.factorial(20) ** 2 > 1 << 400
+
+
+def test_partition_count():
+    for n in range(26):
+        assert _partition_count(n) == len(list(partitions(n)))
+    assert _partition_count(64) == 1741630
+
+
+def test_count_budget():
+    assert count_refusal(36, 36) is None
+    assert count_refusal(20, 64) is None
+    assert _partition_count(36) * 36 ** 2 <= COUNT_BUDGET < _partition_count(37) * 37 ** 2
+    for p, q in [(37, 37), (64, 64), (40, 64), (64, 40)]:
+        assert "budget" in count_refusal(p, q)
+        with pytest.raises(CapExceeded):
+            count_exact(p, q)
+    # the degree cap is checked first and keeps its message
+    assert count_refusal(65, 2) == "count_exact needs p, q <= 64"
 
 
 def test_caps():
