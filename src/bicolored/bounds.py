@@ -5,10 +5,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import exact
 from .characters import twisted_product
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
-from .exact import HalfInteger, QSqrt2, decimal_render, pow2
+from .exact import QSqrt2, decimal_render, pow2
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
@@ -43,23 +42,23 @@ def theorem_bound(p, q):
     """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2)."""
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
-    return pow2(HalfInteger(p * q)) * twisted_product(p, Fraction(1, 2), q, pow2(HalfInteger(q)))
+    return pow2(Fraction(p * q, 2)) * twisted_product(p, Fraction(1, 2), q, pow2(Fraction(q, 2)))
 
 
-def ao_bounds(p, q, max_q=64):
+def ao_bounds(p, q):
     """The pair (lower, 2*lower) with lower = binom(p + 2^q - 1, p) / q!."""
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
-    if q > max_q:
-        raise CapExceeded("ao_bounds needs q <= %d" % max_q)
-    lower = Fraction(exact.binomial(p + (1 << q) - 1, p), math.factorial(q))
+    if q > DEGREE_CAP:
+        raise CapExceeded("ao_bounds needs q <= %d" % DEGREE_CAP)
+    lower = Fraction(math.comb(p + (1 << q) - 1, p), math.factorial(q))
     return lower, 2 * lower
 
 
-def bound_report(p, q, with_exact=True, max_degree=DEGREE_CAP):
+def bound_report(p, q, max_degree=DEGREE_CAP):
     """All bounds for one (p,q), with the exact count unless a count cap refuses it."""
     value = None
-    if with_exact and count_refusal(p, q, max_degree) is None:
+    if count_refusal(p, q, max_degree) is None:
         value = count_exact(p, q, max_degree)
     lower, upper = ao_bounds(p, q)
     return BoundReport(p, q, theorem_bound(p, q), lower, upper, value)

@@ -1,7 +1,6 @@
 """Cyclic Dirichlet characters on symmetric groups and the twisted product."""
 
 import math
-from fractions import Fraction
 
 from . import exact
 from .exact import QSqrt2, rising_factorial
@@ -73,7 +72,7 @@ def avg_char_naive(chi):
 
 
 def twisted_product(p, z, q, zprime):
-    """((chi_z, chi_z')) as the Stirling-weighted double sum, O(pq) ring operations."""
+    """((chi_z, chi_z')) = sum_k c(p,k) z'^(-k) (z^(-k))^(q rising) / (p! q!), O(pq) ring ops."""
     if p < 1 or q < 1:
         raise ValueError("degrees must be positive")
     z = QSqrt2._coerce(z)
@@ -88,12 +87,8 @@ def twisted_product(p, z, q, zprime):
     for k in range(1, p + 1):
         zik = zik * zi
         zpik = zpik * zpi
-        row = QSqrt2(0)
-        w = QSqrt2(1)  # z^(-k l)
-        for l in range(1, q + 1):
-            w = w * zik
-            row = row + exact.stirling_first(q, l) * w
-        total = total + exact.stirling_first(p, k) * zpik * row
+        # sum_l c(q,l) z^(-kl) is the rising factorial of z^(-k)
+        total = total + exact.stirling_first(p, k) * zpik * rising_factorial(zik, q)
     return total / (math.factorial(p) * math.factorial(q))
 
 

@@ -1,8 +1,10 @@
 """Command-line interface: counting, bounds, the ratio table, orbits, verification."""
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -104,7 +106,7 @@ def cmd_table(args, out):
 def cmd_orbits(args, out):
     results = {}
     lower = free_fraction_lower_bound(args.p, args.q, args.max_degree)
-    if args.p * args.q <= args.max_pq:
+    if args.p * args.q <= min(args.max_pq, CENSUS_CAP):
         census = orbit_census(args.p, args.q, args.max_pq)
         f = Fraction(census.free_element_count, census.total)
         results["free_fraction"] = str(f)
@@ -148,19 +150,21 @@ def build_parser():
         description="Exact counts and bounds for unlabelled bicolored graphs.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "tsv", "plain"], default="plain")
-    common.add_argument("--max-pq", type=int, default=CENSUS_CAP,
-                        help="orbit census cap on p*q (default %d)" % CENSUS_CAP)
-    common.add_argument("--max-degree", type=int, default=DEGREE_CAP,
-                        help="count cap on max(p, q) (default %d)" % DEGREE_CAP)
+    degree_cap = argparse.ArgumentParser(add_help=False)
+    degree_cap.add_argument("--max-degree", type=int, default=DEGREE_CAP,
+                            help="count cap on max(p, q), at most %d" % DEGREE_CAP)
+    census_cap = argparse.ArgumentParser(add_help=False)
+    census_cap.add_argument("--max-pq", type=int, default=CENSUS_CAP,
+                            help="orbit census cap on p*q, at most %d" % CENSUS_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("count", parents=[common], help="exact |B_u(p,q)|")
+    s = sub.add_parser("count", parents=[common, degree_cap, census_cap], help="exact |B_u(p,q)|")
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
     s.add_argument("--oracle", choices=["naive", "census"])
     s.set_defaults(func=cmd_count)
 
-    s = sub.add_parser("bound", parents=[common], help="all bounds at one (p,q)")
+    s = sub.add_parser("bound", parents=[common, degree_cap], help="all bounds at one (p,q)")
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
     s.set_defaults(func=cmd_bound)
@@ -173,7 +177,8 @@ def build_parser():
     s.add_argument("--k-max", type=int, default=4)
     s.set_defaults(func=cmd_table)
 
-    s = sub.add_parser("orbits", parents=[common], help="free-orbit census and bound")
+    s = sub.add_parser("orbits", parents=[common, degree_cap, census_cap],
+                       help="free-orbit census and bound")
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
     s.set_defaults(func=cmd_orbits)
@@ -200,10 +205,19 @@ def main(argv=None):
     if args.command == "char" and args.char_op == "twisted" and (args.q is None or args.zprime is None):
         parser.error("char twisted needs p z q zprime")
     try:
-        return args.func(args, sys.stdout)
+        status = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return status
     except (CapExceeded, ValueError, ZeroDivisionError) as err:
         print("bicolored: %s" % err, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at the null device so the flush at exit
+        # cannot fail again, and exit as a process killed by SIGPIPE would
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 128 + 13
 
 
 if __name__ == "__main__":

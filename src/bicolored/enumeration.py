@@ -70,10 +70,12 @@ def count_refusal(p, q, max_degree=DEGREE_CAP):
     """Why count_exact(p, q, max_degree) is refused as over a cap, or None if it runs.
 
     The caps are max(p, q) <= max_degree and the work model
-    P(min(p,q)) max(p,q)^2 <= COUNT_BUDGET.
+    P(min(p,q)) max(p,q)^2 <= COUNT_BUDGET. max_degree only lowers DEGREE_CAP, as the
+    work model does not price the longer integers of larger degrees.
     """
-    if max(p, q) > max_degree:
-        return "count_exact needs p, q <= %d" % max_degree
+    cap = min(max_degree, DEGREE_CAP)
+    if max(p, q) > cap:
+        return "count_exact needs p, q <= %d" % cap
     small, large = min(p, q), max(p, q)
     work = _partition_count(small) * large * large
     if work > COUNT_BUDGET:
@@ -143,11 +145,12 @@ def _mask_table(cell_map, nbits):
 
 
 def orbit_census(p, q, max_pq=CENSUS_CAP):
-    """Exact orbit count and free-element count over all 2^(p q) subsets."""
+    """Orbit and free-element counts over all 2^(p q) subsets; max_pq only lowers CENSUS_CAP."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
-    if p * q > max_pq:
-        raise CapExceeded("orbit_census needs p*q <= %d" % max_pq)
+    cap = min(max_pq, CENSUS_CAP)
+    if p * q > cap:
+        raise CapExceeded("orbit_census needs p*q <= %d" % cap)
     if p * q == 0:
         # a single empty graph; free by the p=0 / q=0 convention
         return OrbitCensus(p, q, 1, 1, 1)

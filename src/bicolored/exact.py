@@ -1,10 +1,8 @@
-"""Exact arithmetic: big rationals, the ring Q(sqrt 2), Stirling numbers, rendering."""
+"""Exact arithmetic: the ring Q(sqrt 2), Stirling numbers, rendering."""
 
 import math
 import re
 from fractions import Fraction
-
-BigRational = Fraction
 
 # rows of signless Stirling numbers of the first kind, c(n, k) = _stirling_rows[n][k]
 _stirling_rows = {0: (1,)}
@@ -127,11 +125,6 @@ class QSqrt2:
     def is_rational(self):
         return self.b == 0
 
-    def to_rational(self):
-        if self.b != 0:
-            raise ValueError("not rational: %s" % self)
-        return self.a
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -204,45 +197,11 @@ def parse_qsqrt2(s):
     return QSqrt2(Fraction(s))
 
 
-class HalfInteger:
-    """An exponent e with 2e integral; stored as twice = 2e."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice):
-        self.twice = int(twice)
-
-    @staticmethod
-    def of(x):
-        """Coerce an int, a half-integral Fraction, or a HalfInteger."""
-        if isinstance(x, HalfInteger):
-            return x
-        if isinstance(x, int):
-            return HalfInteger(2 * x)
-        if isinstance(x, Fraction) and x.denominator in (1, 2):
-            return HalfInteger(int(2 * x))
-        raise ValueError("not a half-integer: %r" % (x,))
-
-    def __add__(self, other):
-        return HalfInteger(self.twice + HalfInteger.of(other).twice)
-
-    def __neg__(self):
-        return HalfInteger(-self.twice)
-
-    def __eq__(self, other):
-        return isinstance(other, HalfInteger) and self.twice == other.twice
-
-    def __hash__(self):
-        return hash(("half", self.twice))
-
-    def __repr__(self):
-        return "HalfInteger(%d/2)" % self.twice
-
-
 def pow2(e):
-    """2^e exactly, for a half-integer exponent e of either sign."""
-    e = HalfInteger.of(e)
-    m, r = divmod(e.twice, 2)
+    """2^e exactly, for an int or a half-integral Fraction e of either sign."""
+    if not isinstance(e, (int, Fraction)) or Fraction(e).denominator > 2:
+        raise ValueError("not a half-integer: %r" % (e,))
+    m, r = divmod(int(2 * e), 2)
     scale = Fraction(1 << m) if m >= 0 else Fraction(1, 1 << -m)
     return QSqrt2(0, scale) if r else QSqrt2(scale)
 
@@ -257,29 +216,24 @@ def rising_factorial(x, n):
     return out
 
 
-def binomial(n, k):
-    """Exact binomial coefficient, 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("n, k must be nonnegative")
-    return math.comb(n, k)
-
-
 def decimal_render(x, places):
-    """Decimal string of a + b*sqrt2, round-half-even, exact to the last place."""
+    """Decimal string of a + b*sqrt2, round-half-even, decided by exact integer comparison."""
     if not 1 <= places <= 50:
         raise ValueError("places must be in 1..50")
     x = QSqrt2._coerce(x)
-    guard = places + 40
-    if x.b:
-        # widen the guard so the sqrt(2) error stays below the last place
-        mag = abs(x.b.numerator) // x.b.denominator
-        if mag:
-            guard += len(str(mag))
-        root = math.isqrt(2 * 10 ** (2 * guard))
-        value = x.a + x.b * Fraction(root, 10 ** guard)
-    else:
-        value = x.a
-    units = round(value * 10 ** places)
+    # 2 * 10^places * x = (n + m sqrt2) / d with integers n, m and d > 0
+    scale = 2 * 10 ** places
+    d = x.a.denominator * x.b.denominator
+    n = scale * x.a.numerator * x.b.denominator
+    m = scale * x.b.numerator * x.a.denominator
+    # floor(m sqrt2); m sqrt2 is irrational unless m = 0
+    root = math.isqrt(2 * m * m) if m >= 0 else -math.isqrt(2 * m * m) - 1
+    twice = (n + root) // d   # floor of twice the scaled value
+    units = twice // 2
+    # an odd floor is at or above the half-unit; it is an exact tie, which goes to the
+    # even neighbour, only when m = 0 and d | n
+    if twice % 2 and (m or n % d or units % 2):
+        units += 1
     sign = "-" if units < 0 else ""
     units = abs(units)
     return "%s%d.%0*d" % (sign, units // 10 ** places, places, units % 10 ** places)

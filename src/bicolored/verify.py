@@ -13,7 +13,7 @@ from .cycleform import (GroupAlgebraElement, bound_1a_gap, bound_5_gap, bracket_
                         cycle_form, cycle_form_bilinear, cycle_form_via_decomposition)
 from .enumeration import (_count_by_classes, count_exact, count_naive, free_fraction,
                           free_fraction_lower_bound, orbit_census)
-from .exact import QSqrt2, SQRT2, decimal_render, pow2, rising_factorial
+from .exact import QSqrt2, SQRT2, pow2, rising_factorial
 from .perm import (Permutation, all_permutations, class_size, compose, cycle_type,
                    disjoint, make_cycle, partitions, total_cycles)
 

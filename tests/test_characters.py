@@ -9,7 +9,7 @@ import pytest
 from bicolored.characters import (ClassFunctionTable, CyclicCharacter, avg_char,
                                   avg_char_naive, char_eval, twisted_product,
                                   twisted_product_naive, verify_cyclic)
-from bicolored.exact import QSqrt2, SQRT2, pow2
+from bicolored.exact import QSqrt2, SQRT2, pow2, stirling_first
 from bicolored.perm import Permutation, all_permutations
 
 BASES = [QSqrt2(Fraction(1, 2)), QSqrt2(2), QSqrt2(Fraction(-1, 3)), SQRT2,
@@ -74,6 +74,32 @@ def test_twisted_product_matches_naive():
             for z, zp in [(Fraction(1, 2), Fraction(2)), (SQRT2, QSqrt2(3)),
                           (Fraction(2), Fraction(1, 2))]:
                 assert twisted_product(p, z, q, zp) == twisted_product_naive(p, z, q, zp)
+
+
+def stirling_double_sum(p, z, q, zprime):
+    """sum_k sum_l c(p,k) c(q,l) z'^(-k) z^(-kl) / (p! q!), term by term."""
+    zi, zpi = QSqrt2._coerce(z).inverse(), QSqrt2._coerce(zprime).inverse()
+    total = QSqrt2(0)
+    zik = QSqrt2(1)    # z^(-k)
+    zpik = QSqrt2(1)   # z'^(-k)
+    for k in range(1, p + 1):
+        zik = zik * zi
+        zpik = zpik * zpi
+        row = QSqrt2(0)
+        w = QSqrt2(1)  # z^(-k l)
+        for l in range(1, q + 1):
+            w = w * zik
+            row = row + stirling_first(q, l) * w
+        total = total + stirling_first(p, k) * zpik * row
+    return total / (math.factorial(p) * math.factorial(q))
+
+
+def test_twisted_product_matches_stirling_double_sum():
+    for z in [QSqrt2(Fraction(1, 2)), QSqrt2(2), SQRT2, QSqrt2(Fraction(3, 2))]:
+        for p in range(1, 11):
+            for q in range(1, 11):
+                zp = pow2(Fraction(q, 2))
+                assert twisted_product(p, z, q, zp) == stirling_double_sum(p, z, q, zp)
 
 
 def test_twisted_product_trivial_twist():

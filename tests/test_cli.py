@@ -1,7 +1,11 @@
 """End-to-end checks of the bicolored command line."""
 
+import io
 import json
+import math
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +70,11 @@ def test_count_over_budget_exits_promptly(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and err.startswith("bicolored:")
     assert "budget" in err
+    # --max-degree can only lower the degree cap
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "1", "1000", "--max-degree", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "p, q <= 64" in err
 
 
 def test_bound_over_budget_omits_exact(capsys):
@@ -111,6 +120,10 @@ def test_orbits(capsys):
     assert record["results"]["census_skipped"] is True
     assert "free_fraction" not in record["results"]
     assert "lower_bound" in record["results"]
+    # --max-pq can only lower the census cap
+    code, out, _ = run_cli(capsys, "orbits", "5", "6", "--max-pq", "30", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["census_skipped"] is True
 
 
 def test_char_avg(capsys):
@@ -119,6 +132,12 @@ def test_char_avg(capsys):
     record = json.loads(out)
     assert record["results"]["value"] == "1/2+0*sqrt2"
     assert record["results"]["value_decimal"] == "0.500000"
+    # avg over S_2 is (1 + z)/2 = 1/(2*10^6) + (sqrt2 - r), just above a half-unit
+    r = Fraction(math.isqrt(2 * 10 ** 120), 10 ** 60)
+    z = "%s+2*sqrt2" % (Fraction(1, 10 ** 6) - 2 * r - 1)
+    code, out, _ = run_cli(capsys, "char", "avg", "2", "--", z)
+    assert code == 0
+    assert "value_decimal = 0.000001" in out
 
 
 def test_char_twisted(capsys):
@@ -138,6 +157,21 @@ def test_error_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "char", "avg", "3", "xyz")
     assert code == 2
+    # the cap flags belong to the subcommands that read them
+    for argv in (["table", "--max-degree", "3"], ["bound", "3", "3", "--max-pq", "4"],
+                 ["verify", "--max-pq", "4"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["count", "3", "4"]) != 0
 
 
 def test_verify_suite_passes(capsys):

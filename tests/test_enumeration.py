@@ -101,6 +101,9 @@ def test_count_budget():
             count_exact(p, q)
     # the degree cap is checked first and keeps its message
     assert count_refusal(65, 2) == "count_exact needs p, q <= 64"
+    # max_degree only lowers the cap: P(1)*5000^2 is under the budget, yet refused
+    assert count_refusal(1, 5000, max_degree=5000) == "count_exact needs p, q <= 64"
+    assert count_refusal(1, 30, max_degree=20) == "count_exact needs p, q <= 20"
 
 
 def test_caps():
@@ -111,6 +114,11 @@ def test_caps():
     with pytest.raises(CapExceeded):
         orbit_census(5, 5)
     assert orbit_census(3, 3, max_pq=CENSUS_CAP).total == 512
+    # max_pq only lowers the cap
+    with pytest.raises(CapExceeded):
+        orbit_census(5, 6, max_pq=30)
+    with pytest.raises(CapExceeded):
+        orbit_census(3, 3, max_pq=8)
 
 
 def test_orbit_census_structure():

@@ -6,9 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from bicolored.exact import (HalfInteger, QSqrt2, SQRT2, binomial, decimal_render,
-                             parse_qsqrt2, pow2, qsqrt2_str, rising_factorial, stirling_first)
+from bicolored.exact import (QSqrt2, SQRT2, decimal_render, parse_qsqrt2, pow2, qsqrt2_str,
+                             rising_factorial, stirling_first)
 from bicolored.perm import all_permutations, cycle_type, total_cycles
+
+# R = floor(10^60 sqrt2) / 10^60 lies just below sqrt2: 0 < sqrt2 - R < 10^-60, so
+# a - R + sqrt2 sits just above a and a + R - sqrt2 just below it
+R = Fraction(math.isqrt(2 * 10 ** 120), 10 ** 60)
+HALF = Fraction(1, 2 * 10 ** 6)  # half a unit in the sixth place
 
 
 def test_stirling_small_values():
@@ -48,20 +53,16 @@ def test_pow2():
     assert pow2(3) == 8
     assert pow2(Fraction(1, 2)) == SQRT2
     assert pow2(Fraction(-1, 2)) == QSqrt2(0, Fraction(1, 2))
-    assert pow2(HalfInteger(-4)) == QSqrt2(Fraction(1, 4))
+    assert pow2(-2) == QSqrt2(Fraction(1, 4))
+    assert pow2(Fraction(-4, 2)) == QSqrt2(Fraction(1, 4))
+    with pytest.raises(ValueError):
+        pow2(Fraction(1, 3))
+    with pytest.raises(ValueError):
+        pow2(0.5)
     rng = random.Random(11)
     for _ in range(200):
         e, f = rng.randint(-30, 30), rng.randint(-30, 30)
         assert pow2(Fraction(e, 2)) * pow2(Fraction(f, 2)) == pow2(Fraction(e + f, 2))
-
-
-def test_binomial():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(18, 3) == 816
-    assert binomial(3, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_qsqrt2_ring():
@@ -116,12 +117,22 @@ def test_decimal_render():
     assert decimal_render(SQRT2, 20) == "1.41421356237309504880"
     assert decimal_render(QSqrt2(Fraction(-1, 3)), 4) == "-0.3333"
     assert decimal_render(QSqrt2(0), 3) == "0.000"
+    assert decimal_render(-SQRT2, 6) == "-1.414214"
+    assert decimal_render(QSqrt2(1, -1), 6) == "-0.414214"
 
 
 def test_decimal_render_half_even():
     assert decimal_render(Fraction(25, 1000), 2) == "0.02"
     assert decimal_render(Fraction(35, 1000), 2) == "0.04"
     assert decimal_render(Fraction(-25, 1000), 2) == "-0.02"
+    assert decimal_render(3 * HALF, 6) == "0.000002"
+    # within 10^-60 of a half-unit, on either side: the sqrt2 term decides
+    assert decimal_render(QSqrt2(HALF - R, 1), 6) == "0.000001"
+    assert decimal_render(QSqrt2(R - HALF, -1), 6) == "-0.000001"
+    assert decimal_render(QSqrt2(HALF + R, -1), 6) == "0.000000"
+    assert decimal_render(QSqrt2(-HALF - R, 1), 6) == "0.000000"
+    assert decimal_render(QSqrt2(3 * HALF + R, -1), 6) == "0.000001"
+    assert decimal_render(QSqrt2(5 * HALF - R, 1), 6) == "0.000003"
 
 
 def test_decimal_render_large_coefficients():
@@ -132,6 +143,32 @@ def test_decimal_render_large_coefficients():
     want = math.isqrt(2 * scale * scale)  # floor(sqrt2 * 10^66)
     want += (2 * want + 1) ** 2 <= 8 * scale * scale
     assert got == "%d.%06d" % (want // 10 ** 6, want % 10 ** 6)
+    # b near 10^40, a placed within 10^-60 above a half-unit
+    b = 10 ** 40 + 7
+    below = Fraction(math.isqrt(2 * b * b * 10 ** 120), 10 ** 60)  # just below b sqrt2
+    assert decimal_render(QSqrt2(HALF - below, b), 6) == "0.000001"
+    assert decimal_render(QSqrt2(below - HALF, -b), 6) == "-0.000001"
+    assert decimal_render(QSqrt2(HALF + below, -b), 6) == "0.000000"
+
+
+def test_decimal_render_within_half_unit():
+    # |x - t| <= 10^-places / 2 for the rendered t, decided by exact signs
+    rng = random.Random(17)
+    for i in range(2000):
+        places = rng.randint(1, 12)
+        b = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** rng.randint(0, 4)))
+        if i % 2:
+            a = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** rng.randint(0, 4)))
+        else:
+            # a half-unit minus b sqrt2 truncated at a random depth
+            digits = rng.randint(places, places + 80)
+            root = math.isqrt(2 * b.numerator ** 2 * 10 ** (2 * digits)) // b.denominator
+            a = (Fraction(2 * rng.randint(-10 ** 6, 10 ** 6) + 1, 2 * 10 ** places)
+                 - (1 if b >= 0 else -1) * Fraction(root, 10 ** digits))
+        x = QSqrt2(a, b)
+        t = Fraction(decimal_render(x, places))
+        half = Fraction(1, 2 * 10 ** places)
+        assert (x - t - half).sign() <= 0 and (x - t + half).sign() >= 0, (x, places)
 
 
 def test_decimal_render_places_cap():

@@ -1,0 +1,58 @@
+"""Byte-identical CLI output: the SHA-256 of stdout for a fixed list of invocations.
+
+The digests were taken from the code before the exact layer was rewritten with
+rising factorials and integer-floor rounding; any change to what these commands
+print, down to one byte, fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from bicolored.cli import main
+
+GOLDEN = [
+    (["count", "6", "7"],
+     "ccbe8c9053d5f1dacebe8736594571bbffce76fa7a24fcfe6767bedf4137d588"),
+    (["count", "4", "9", "--format", "json"],
+     "1101e1712e632452aa3ce61ed296d747a853eaac79179406abe10fbbf5e22f6c"),
+    (["count", "3", "4", "--oracle", "census"],
+     "46d8137f3d22d6ed539ed057fc04aecc565531b113d6753cbd1eca30e7214d87"),
+    (["bound", "8", "9"],
+     "c4bac0ba1d9e10fb4d1e4f4967f0292fe60c6ef6c87b2a0f6108a632af1f5de7"),
+    (["bound", "48", "52", "--max-degree", "20"],
+     "60f4c4f8597e12d793f3b539a8302348e32ad3196c879c4077765b9e2f297efc"),
+    (["bound", "30", "25", "--max-degree", "20", "--format", "json"],
+     "ca6d29e8c177c99bf0f35f9aa93531c45676aeee23c9286438f9881750b01608"),
+    (["table", "--p-min", "3", "--p-max", "48", "--p-step", "15", "--k-max", "2",
+      "--format", "csv"],
+     "17c736ea0d77834b891916df7459314a6e3795f09f34804a3a405bd25bc8e0f0"),
+    (["char", "avg", "40", "1/2"],
+     "a57e24eec97eb6face8d18ce6af68875deb8dd50695348675c83ec51f830e3b2"),
+    (["char", "avg", "16", "2", "--format", "tsv"],
+     "8f2c4c6a2e1042987954724d94cba9ac609f02e83934c8511136aed54180c9a7"),
+    (["char", "avg", "13", "sqrt2"],
+     "040c0c731a9364e5fb0d65269210526d0322c05b17368b733171ffbeb1393531"),
+    (["char", "avg", "13", "3/2"],
+     "0a77f0ac66aec780d41a84ab3ec599a8d1a89661d2d1713d031ad4f833401cd3"),
+    (["char", "twisted", "20", "sqrt2", "14", "3/2"],
+     "cb80a34aff13d55c5926d27a8db13f10ffe20b965e0e726cc6cea7521373aa9b"),
+    (["char", "twisted", "9", "1/2", "8", "2", "--format", "json"],
+     "0697d8e740f13c473010bf39ca7696a9d64b640467616f77e2bb59d654365729"),
+    (["orbits", "3", "4"],
+     "3ab62ccab866b2d26fb11e2176dca7e6d08adfd960d42d29a333a2e933b3b313"),
+    (["orbits", "3", "4", "--format", "json"],
+     "57ab6d61da4ca2950e1ac8325321fe44e056b6e28f3057eaf01935c3965b6ff6"),
+    (["orbits", "2", "5", "--format", "csv"],
+     "b13f76eb69957cb67cebcc507b2cf65eda4962f4ef8349f8b1ece24aa2c4ffce"),
+    (["verify", "--suite", "cycleform", "--seed", "1"],
+     "89fbc8e56bd36bfccc360b5f8dd4617b5ceaabab82fc50cfad64b30ccd06619f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, digest):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
