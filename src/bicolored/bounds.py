@@ -5,9 +5,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .characters import twisted_product
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
-from .exact import QSqrt2, decimal_render, pow2
+from .exact import QSqrt2, decimal_render, stirling_first
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
@@ -39,10 +38,37 @@ class HRow:
 
 
 def theorem_bound(p, q):
-    """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2)."""
+    """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2).
+
+    Summed over the cycle count l of S_q, the bound is
+    sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q) / (p! q!), an element A + B sqrt2 of
+    Z[sqrt2] over p! q!, computed in integers from the Stirling row of q. Raises
+    CapExceeded for q > DEGREE_CAP, which bounds the Stirling rows built, or for
+    p*q > DEGREE_CAP^2, which bounds the size of A and B.
+    """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
-    return pow2(Fraction(p * q, 2)) * twisted_product(p, Fraction(1, 2), q, pow2(Fraction(q, 2)))
+    if q > DEGREE_CAP or p * q > DEGREE_CAP * DEGREE_CAP:
+        raise CapExceeded("theorem_bound needs q <= %d and p*q <= %d"
+                          % (DEGREE_CAP, DEGREE_CAP * DEGREE_CAP))
+    h = 1 << (q // 2)  # sqrt2^q is h for even q and h sqrt2 for odd q
+    big_a = big_b = 0
+    for l in range(1, q + 1):
+        x = 1 << l
+        a, b = x, 0  # the factor at i = 0
+        if q % 2:
+            for i in range(1, p):
+                # (a + b sqrt2)(x + i h sqrt2)
+                ih = i * h
+                a, b = a * x + 2 * b * ih, a * ih + b * x
+        else:
+            for i in range(1, p):
+                a *= x + i * h
+        c = stirling_first(q, l)
+        big_a += c * a
+        big_b += c * b
+    d = math.factorial(p) * math.factorial(q)
+    return QSqrt2(Fraction(big_a, d), Fraction(big_b, d))
 
 
 def ao_bounds(p, q):
@@ -57,11 +83,12 @@ def ao_bounds(p, q):
 
 def bound_report(p, q, max_degree=DEGREE_CAP):
     """All bounds for one (p,q), with the exact count unless a count cap refuses it."""
+    bound = theorem_bound(p, q)  # first: its cap also keeps ao_bounds' binomial small
     value = None
     if count_refusal(p, q, max_degree) is None:
         value = count_exact(p, q, max_degree)
     lower, upper = ao_bounds(p, q)
-    return BoundReport(p, q, theorem_bound(p, q), lower, upper, value)
+    return BoundReport(p, q, bound, lower, upper, value)
 
 
 def ratio_table(p_values, k_values):

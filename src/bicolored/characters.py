@@ -3,6 +3,7 @@
 import math
 
 from . import exact
+from .enumeration import DEGREE_CAP, CapExceeded
 from .exact import QSqrt2, rising_factorial
 from .perm import all_permutations, cycle_type, total_cycles
 
@@ -56,6 +57,8 @@ def verify_cyclic(table):
 def avg_char(chi):
     """(1/p!) sum of chi over the symmetric group, via the rising-factorial formula."""
     p = chi.degree
+    if p > DEGREE_CAP:
+        raise CapExceeded("avg_char needs p <= %d" % DEGREE_CAP)
     if p == 0:
         return QSqrt2(1)
     z = chi.base
@@ -75,6 +78,8 @@ def twisted_product(p, z, q, zprime):
     """((chi_z, chi_z')) = sum_k c(p,k) z'^(-k) (z^(-k))^(q rising) / (p! q!), O(pq) ring ops."""
     if p < 1 or q < 1:
         raise ValueError("degrees must be positive")
+    if max(p, q) > DEGREE_CAP:
+        raise CapExceeded("twisted_product needs p, q <= %d" % DEGREE_CAP)
     z = QSqrt2._coerce(z)
     zprime = QSqrt2._coerce(zprime)
     if z == 0 or zprime == 0:

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from bicolored import characters
 from bicolored.bounds import (a_log2_closed_form, a_term, ao_bounds, bound_report,
                               growth_ratio, h_constant, ratio_table, tail_ratio,
                               theorem_bound, verify_H)
+from bicolored.characters import twisted_product, twisted_product_naive
 from bicolored.enumeration import CapExceeded, count_exact
-from bicolored.exact import QSqrt2
+from bicolored.exact import QSqrt2, pow2
 
 
 def test_theorem_bound_small_values():
@@ -17,6 +19,36 @@ def test_theorem_bound_small_values():
     assert theorem_bound(1, 2) == 3  # tight again
     with pytest.raises(ValueError):
         theorem_bound(0, 3)
+
+
+def twisted_bound(p, q, product=twisted_product):
+    """The bound as the paper states it: 2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}}))."""
+    return pow2(Fraction(p * q, 2)) * product(p, Fraction(1, 2), q, pow2(Fraction(q, 2)))
+
+
+def test_theorem_bound_matches_twisted_product(monkeypatch):
+    for p in range(1, 25):
+        for q in range(1, 25):
+            assert theorem_bound(p, q) == twisted_bound(p, q), (p, q)
+    # both parities of q at the largest degrees, and the shape of `bound 70 3`, for
+    # which the oracle's degree cap is lifted
+    monkeypatch.setattr(characters, "DEGREE_CAP", 70)
+    for p, q in [(3, 64), (64, 3), (70, 3), (64, 64)]:
+        assert theorem_bound(p, q) == twisted_bound(p, q), (p, q)
+
+
+def test_theorem_bound_matches_naive_sum():
+    for p in range(1, 6):
+        for q in range(1, 6):
+            assert theorem_bound(p, q) == twisted_bound(p, q, twisted_product_naive), (p, q)
+
+
+def test_theorem_bound_caps():
+    assert theorem_bound(64, 64) > 0
+    assert theorem_bound(4096, 1) > 0
+    for p, q in [(4097, 1), (65, 64), (1, 65)]:
+        with pytest.raises(CapExceeded):
+            theorem_bound(p, q)
 
 
 def test_theorem_bound_not_symmetric():

@@ -9,6 +9,7 @@ import pytest
 from bicolored.characters import (ClassFunctionTable, CyclicCharacter, avg_char,
                                   avg_char_naive, char_eval, twisted_product,
                                   twisted_product_naive, verify_cyclic)
+from bicolored.enumeration import CapExceeded
 from bicolored.exact import QSqrt2, SQRT2, pow2, stirling_first
 from bicolored.perm import Permutation, all_permutations
 
@@ -55,6 +56,8 @@ def test_avg_char_rejects_zero_base():
         CyclicCharacter(3, 0)
     with pytest.raises(ValueError):
         CyclicCharacter(-1, 2)
+    with pytest.raises(CapExceeded):
+        avg_char(CyclicCharacter(65, 2))
 
 
 def test_class_function_table():
@@ -127,6 +130,9 @@ def test_twisted_product_rejects_bad_args():
         twisted_product(0, Fraction(1, 2), 3, 2)
     with pytest.raises(ValueError):
         twisted_product(3, 0, 3, 2)
+    for p, q in [(65, 2), (2, 65)]:
+        with pytest.raises(CapExceeded):
+            twisted_product(p, Fraction(1, 2), q, 2)
 
 
 def test_char_eval_degree_mismatch():

@@ -77,6 +77,21 @@ def test_count_over_budget_exits_promptly(capsys):
     assert code == 2 and out == "" and "p, q <= 64" in err
 
 
+def test_char_and_bound_caps(capsys):
+    # degrees over the caps exit 2 before any ring work
+    for argv in (["char", "avg", "65", "1/2"], ["char", "twisted", "65", "1/2", "2", "2"],
+                 ["char", "twisted", "2", "1/2", "65", "2"], ["bound", "4097", "1"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "" and err.startswith("bicolored:"), argv
+        assert "needs" in err, argv
+    for argv in (["char", "avg", "64", "3/2"], ["char", "twisted", "64", "3/2", "64", "sqrt2"],
+                 ["bound", "64", "64"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "_decimal = " in out, argv
+
+
 def test_bound_over_budget_omits_exact(capsys):
     code, out, _ = run_cli(capsys, "bound", "40", "40", "--format", "json")
     assert code == 0
