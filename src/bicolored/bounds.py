@@ -67,8 +67,7 @@ def theorem_bound(p, q):
         c = stirling_first(q, l)
         big_a += c * a
         big_b += c * b
-    d = math.factorial(p) * math.factorial(q)
-    return QSqrt2(Fraction(big_a, d), Fraction(big_b, d))
+    return QSqrt2(big_a, big_b, math.factorial(p) * math.factorial(q))
 
 
 def ao_bounds(p, q):

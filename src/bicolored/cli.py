@@ -15,6 +15,35 @@ from .enumeration import (CapExceeded, CENSUS_CAP, DEGREE_CAP, count_exact, coun
                           free_fraction_lower_bound, orbit_census)
 from .exact import decimal_render, parse_qsqrt2, qsqrt2_str
 
+BASE_CAP = 256  # characters in a base literal of `char`
+# Decimal digits of the longest integer the CLI can print. A base literal of at most
+# BASE_CAP characters is (x + y sqrt2)/d with |x|, |y|, d < 10^BASE_CAP, and its inverse w
+# has integers under 2 * 100^BASE_CAP. A `char` value is
+# sum_{k,l} c(p,k) c(q,l) w^(kl) w'^k / (p! q!) with p, q <= DEGREE_CAP, so its integers
+# have fewer than (pq + p)(2 BASE_CAP + 1) + log10(p! q!) + 1 digits, and its decimal
+# rendering adds 7. `bound` prints shorter ones: about 16000 digits at p*q = 4096.
+PRINT_DIGITS = (DEGREE_CAP ** 2 + DEGREE_CAP) * (2 * BASE_CAP + 1) + 200
+
+
+@contextlib.contextmanager
+def _printable():
+    """Raise Python's int -> str digit limit to PRINT_DIGITS, restoring it on exit."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if old:
+        sys.set_int_max_str_digits(max(old, PRINT_DIGITS))
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+
+
+def _parse_base(text):
+    """A base literal of `char`, refused before conversion when over BASE_CAP characters."""
+    if len(text) > BASE_CAP:
+        raise CapExceeded("char needs base literals of at most %d characters" % BASE_CAP)
+    return parse_qsqrt2(text)
+
 
 def _record(command, parameters, results):
     return {"command": command, "parameters": parameters, "results": results}
@@ -73,13 +102,14 @@ def cmd_count(args, out):
 
 def cmd_bound(args, out):
     report = bound_report(args.p, args.q, max_degree=args.max_degree)
-    results = {
-        "theorem_bound": qsqrt2_str(report.theorem_bound),
-        "theorem_bound_decimal": decimal_render(report.theorem_bound, 6),
-        "places": 6,
-        "ao_lower": str(report.ao_lower),
-        "ao_upper": str(report.ao_upper),
-    }
+    with _printable():
+        results = {
+            "theorem_bound": qsqrt2_str(report.theorem_bound),
+            "theorem_bound_decimal": decimal_render(report.theorem_bound, 6),
+            "places": 6,
+            "ao_lower": str(report.ao_lower),
+            "ao_upper": str(report.ao_upper),
+        }
     if report.exact is not None:
         results["exact"] = str(report.exact)
         results["sandwich_holds"] = bool(report.ao_lower <= report.exact <= report.ao_upper)
@@ -124,14 +154,15 @@ def cmd_orbits(args, out):
 
 def cmd_char(args, out):
     if args.char_op == "avg":
-        value = avg_char(CyclicCharacter(args.p, parse_qsqrt2(args.z)))
+        value = avg_char(CyclicCharacter(args.p, _parse_base(args.z)))
         params = {"op": "avg", "p": args.p, "z": args.z}
     else:
-        value = twisted_product(args.p, parse_qsqrt2(args.z), args.q, parse_qsqrt2(args.zprime))
+        value = twisted_product(args.p, _parse_base(args.z), args.q, _parse_base(args.zprime))
         params = {"op": "twisted", "p": args.p, "z": args.z, "q": args.q, "zprime": args.zprime}
-    results = {"value": qsqrt2_str(value),
-               "value_decimal": decimal_render(value, 6),
-               "places": 6}
+    with _printable():
+        results = {"value": qsqrt2_str(value),
+                   "value_decimal": decimal_render(value, 6),
+                   "places": 6}
     record = _record("char", params, results)
     _emit(record, args.format, out)
     return 0
@@ -191,7 +222,7 @@ def build_parser():
     s.add_argument("zprime", nargs="?")
     s.set_defaults(func=cmd_char)
 
-    s = sub.add_parser("verify", parents=[common], help="run the property suites")
+    s = sub.add_parser("verify", help="run the property suites")
     s.add_argument("--suite", choices=["all"] + sorted(verify_mod.SUITES), default="all")
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_verify)
@@ -202,8 +233,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "char" and args.char_op == "twisted" and (args.q is None or args.zprime is None):
-        parser.error("char twisted needs p z q zprime")
+    if args.command == "char":
+        if args.char_op == "twisted" and (args.q is None or args.zprime is None):
+            parser.error("char twisted needs p z q zprime")
+        if args.char_op == "avg" and (args.q is not None or args.zprime is not None):
+            parser.error("char avg takes p z only")
     try:
         status = args.func(args, sys.stdout)
         sys.stdout.flush()

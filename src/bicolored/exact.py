@@ -1,5 +1,6 @@
 """Exact arithmetic: the ring Q(sqrt 2), Stirling numbers, rendering."""
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -26,28 +27,41 @@ def stirling_first(n, k):
     return _stirling_rows[n][k]
 
 
+@functools.total_ordering
 class QSqrt2:
-    """Exact element a + b*sqrt(2) with rational a, b."""
+    """Exact element (x + y*sqrt(2))/d of Q(sqrt 2), with integers d > 0 and gcd(x, y, d) = 1."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("x", "y", "d")
 
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __init__(self, a=0, b=0, d=1):
+        """The element (a + b*sqrt(2))/d for rational a, b and a nonzero integer d."""
+        if not (isinstance(a, int) and isinstance(b, int)):
+            a, b = Fraction(a), Fraction(b)
+            a, b, d = (a.numerator * b.denominator, b.numerator * a.denominator,
+                       d * a.denominator * b.denominator)
+        if d <= 0:
+            if d == 0:
+                raise ZeroDivisionError("denominator 0 in Q(sqrt 2)")
+            a, b, d = -a, -b, -d
+        g = math.gcd(a, b, d)
+        self.x, self.y, self.d = a // g, b // g, d // g
+
+    a = property(lambda self: Fraction(self.x, self.d), doc="The rational part x/d.")
+    b = property(lambda self: Fraction(self.y, self.d), doc="The sqrt(2) coefficient y/d.")
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, QSqrt2):
             return x
         if isinstance(x, (int, Fraction)):
-            return QSqrt2(x)
+            return QSqrt2(x.numerator, 0, x.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt2(self.a + o.a, self.b + o.b)
+        return QSqrt2(self.x * o.d + o.x * self.d, self.y * o.d + o.y * self.d, self.d * o.d)
 
     __radd__ = __add__
 
@@ -55,30 +69,34 @@ class QSqrt2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt2(self.a - o.a, self.b - o.b)
+        return QSqrt2(self.x * o.d - o.x * self.d, self.y * o.d - o.y * self.d, self.d * o.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt2(o.a - self.a, o.b - self.b)
+        return o - self
 
     def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
+        return QSqrt2(-self.x, -self.y, self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        x, y, u, v = self.x, self.y, o.x, o.y
+        return QSqrt2(x * u + 2 * y * v, x * v + y * u, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        d = self.a * self.a - 2 * self.b * self.b
-        if d == 0:
+        # d/(x + y sqrt2) = d (x - y sqrt2)/n with the norm n = x^2 - 2 y^2; a negative n
+        # is flipped into the numerator by the constructor
+        x, y, d = self.x, self.y, self.d
+        n = x * x - 2 * y * y
+        if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        return QSqrt2(self.a / d, -self.b / d)
+        return QSqrt2(d * x, -d * y, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -96,43 +114,39 @@ class QSqrt2:
         if not isinstance(e, int):
             return NotImplemented
         base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = QSqrt2(1)
+        # square and multiply on the numerator x + y sqrt2; the denominator is d^|e|
+        x, y, u, v, e = 1, 0, base.x, base.y, abs(e)
+        d = base.d ** e
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                x, y = x * u + 2 * y * v, x * v + y * u
+            u, v = u * u + 2 * v * v, 2 * u * v
             e >>= 1
-        return out
+        return QSqrt2(x, y, d)
 
     def conjugate(self):
-        return QSqrt2(self.a, -self.b)
+        return QSqrt2(self.x, -self.y, self.d)
 
     def sign(self):
-        """Exact sign of a + b*sqrt(2); no floating point."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # a and b have opposite signs: compare a^2 with 2 b^2
-        if a > 0:
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if 2 * b * b > a * a else -1
+        """Exact sign of x + y*sqrt(2); no floating point."""
+        x, y = self.x, self.y
+        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+        if sx * sy >= 0:
+            return sx or sy
+        # opposite signs: the larger of x^2 and 2 y^2 decides (they are never equal)
+        return sx if x * x > 2 * y * y else sy
 
     def is_rational(self):
-        return self.b == 0
+        return self.y == 0
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.x == o.x and self.y == o.y and self.d == o.d
 
     def __hash__(self):
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        return hash(Fraction(self.x, self.d)) if self.y == 0 else hash((self.x, self.y, self.d))
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -140,34 +154,17 @@ class QSqrt2:
             return NotImplemented
         return (self - o).sign() < 0
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(2)
+        return self.x / self.d + self.y / self.d * math.sqrt(2)
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return "sqrt2" if self.b == 1 else "%s*sqrt2" % self.b
-        op = "-" if self.b < 0 else "+"
-        return "%s%s%s*sqrt2" % (self.a, op, abs(self.b))
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return "sqrt2" if b == 1 else "%s*sqrt2" % b
+        op = "-" if b < 0 else "+"
+        return "%s%s%s*sqrt2" % (a, op, abs(b))
 
     __repr__ = __str__
 
@@ -202,8 +199,8 @@ def pow2(e):
     if not isinstance(e, (int, Fraction)) or Fraction(e).denominator > 2:
         raise ValueError("not a half-integer: %r" % (e,))
     m, r = divmod(int(2 * e), 2)
-    scale = Fraction(1 << m) if m >= 0 else Fraction(1, 1 << -m)
-    return QSqrt2(0, scale) if r else QSqrt2(scale)
+    num, den = (1 << m, 1) if m >= 0 else (1, 1 << -m)
+    return QSqrt2(0, num, den) if r else QSqrt2(num, 0, den)
 
 
 def rising_factorial(x, n):
@@ -217,15 +214,13 @@ def rising_factorial(x, n):
 
 
 def decimal_render(x, places):
-    """Decimal string of a + b*sqrt2, round-half-even, decided by exact integer comparison."""
+    """Decimal string of (x + y*sqrt2)/d, round-half-even, decided by exact integer comparison."""
     if not 1 <= places <= 50:
         raise ValueError("places must be in 1..50")
     x = QSqrt2._coerce(x)
     # 2 * 10^places * x = (n + m sqrt2) / d with integers n, m and d > 0
     scale = 2 * 10 ** places
-    d = x.a.denominator * x.b.denominator
-    n = scale * x.a.numerator * x.b.denominator
-    m = scale * x.b.numerator * x.a.denominator
+    n, m, d = scale * x.x, scale * x.y, x.d
     # floor(m sqrt2); m sqrt2 is irrational unless m = 0
     root = math.isqrt(2 * m * m) if m >= 0 else -math.isqrt(2 * m * m) - 1
     twice = (n + root) // d   # floor of twice the scaled value

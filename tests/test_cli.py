@@ -3,9 +3,11 @@
 import io
 import json
 import math
+import shlex
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -172,16 +174,68 @@ def test_error_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "char", "avg", "3", "xyz")
     assert code == 2
-    # the cap flags belong to the subcommands that read them
+    # the cap flags belong to the subcommands that read them; verify prints plain text only
     for argv in (["table", "--max-degree", "3"], ["bound", "3", "3", "--max-pq", "4"],
-                 ["verify", "--max-pq", "4"]):
-        with pytest.raises(SystemExit):
+                 ["verify", "--max-pq", "4"], ["verify", "--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_char_avg_rejects_extra_arguments(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["char", "avg", "3", "2", "4", "5"])
+    assert exc.value.code == 2
+    assert "char avg takes p z only" in capsys.readouterr().err
+
+
+def test_bound_prints_up_to_the_caps(capsys):
+    # values of more than 4300 digits print; Python's conversion limit is restored after
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    for q in range(1, 65):
+        p = 4096 // q
+        code, out, err = run_cli(capsys, "bound", str(p), str(q), "--format", "json")
+        assert code == 0 and err == "", (p, q)
+        results = json.loads(out)["results"]
+        whole, places = results["theorem_bound_decimal"].split(".")
+        assert whole.isdigit() and len(places) == 6 and Fraction(results["ao_lower"]) > 0
+        assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run_cli(capsys, "bound", "4096", "1", "--format", "json")
+    a = json.loads(out)["results"]["theorem_bound"].split("/")[0]
+    assert len(a) == 7844
+    assert time.perf_counter() - start < 10.0
+
+
+def test_char_base_literal_cap(capsys):
+    # long bases print; a literal over 256 characters is refused before it is converted
+    for argv in (["char", "avg", "64", "1/1" + "0" * 70], ["char", "avg", "8", "1/1" + "0" * 253]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and "value_decimal = " in out
+    for argv in (["char", "avg", "64", "1/1" + "0" * 254],
+                 ["char", "twisted", "2", "3/2", "2", "1" * 257]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "bicolored: char needs base literals of at most 256 characters\n"
 
 
 class ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_readme_examples(capsys):
+    # every command of README's "Command line" block runs and exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#")[0] for line in block.splitlines()
+                if line.startswith("bicolored ")]
+    assert commands
+    for command in commands:
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0 and out and err == "", command
 
 
 def test_closed_stdout_exits_quietly(monkeypatch):

@@ -188,3 +188,114 @@ def test_canonical_string_round_trip():
     assert parse_qsqrt2("3/2") == QSqrt2(Fraction(3, 2))
     assert parse_qsqrt2("-5") == QSqrt2(-5)
     assert qsqrt2_str(QSqrt2(1, Fraction(-3, 2))) == "1-3/2*sqrt2"
+
+
+class FractionPair:
+    """The former Q(sqrt 2): a + b*sqrt(2) kept as two Fractions; the oracle for QSqrt2."""
+
+    def __init__(self, a=0, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return FractionPair(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return FractionPair(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return FractionPair(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        d = self.a * self.a - 2 * self.b * self.b
+        return FractionPair(self.a / d, -self.b / d)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, e):
+        base = self if e >= 0 else self.inverse()
+        e = abs(e)
+        out = FractionPair(1)
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def sign(self):
+        a, b = self.a, self.b
+        if a == 0 and b == 0:
+            return 0
+        if a >= 0 and b >= 0:
+            return 1
+        if a <= 0 and b <= 0:
+            return -1
+        if a > 0:
+            return 1 if a * a > 2 * b * b else -1
+        return 1 if 2 * b * b > a * a else -1
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+
+def _assert_matches(got, want):
+    """got is the canonical triple of the Fraction pair want."""
+    assert got.d > 0 and math.gcd(got.x, got.y, got.d) == 1, (got.x, got.y, got.d)
+    assert (got.a, got.b) == (want.a, want.b)
+    assert got == QSqrt2(want.a, want.b) and hash(got) == hash(QSqrt2(want.a, want.b))
+    if want.b == 0:
+        assert got == want.a and hash(got) == hash(want) == hash(want.a)
+
+
+def _random_pair(rng):
+    hi = 10 ** 40 if rng.random() < 0.3 else 12
+    a, b = (Fraction(rng.randint(-hi, hi), rng.randint(1, hi)) for _ in range(2))
+    if rng.random() < 0.15:
+        b = Fraction(0)
+    return FractionPair(a, b)
+
+
+def test_qsqrt2_matches_fraction_pair():
+    rng = random.Random(23)
+    # units of norm -1 and +1, an element of norm -1/4, and a rational
+    fixed = [FractionPair(1, 1), FractionPair(1, -1), FractionPair(-1, 1), FractionPair(3, 2),
+             FractionPair(Fraction(1, 2), Fraction(1, 2)), FractionPair(Fraction(-7, 3))]
+    pairs = fixed + [_random_pair(rng) for _ in range(300)]
+    negative_norms = 0
+    for xo in pairs:
+        yo = pairs[rng.randrange(len(pairs))]
+        x, y = QSqrt2(xo.a, xo.b), QSqrt2(yo.a, yo.b)
+        _assert_matches(x, xo)
+        _assert_matches(x + y, xo + yo)
+        _assert_matches(x - y, xo - yo)
+        _assert_matches(x * y, xo * yo)
+        assert x.sign() == xo.sign()
+        assert (x - y).sign() == (xo - yo).sign()
+        assert (x == y) == ((xo.a, xo.b) == (yo.a, yo.b))
+        if xo.a != 0 or xo.b != 0:
+            negative_norms += xo.a * xo.a < 2 * xo.b * xo.b
+            _assert_matches(x.inverse(), xo.inverse())
+            _assert_matches(y / x, yo / xo)
+            for e in (-7, -2, -1, 0, 1, 2, 3, 9):
+                _assert_matches(x ** e, xo ** e)
+    assert negative_norms > 50
+
+
+def test_qsqrt2_canonical_form():
+    assert QSqrt2(2, 4, 6) == QSqrt2(1, 2, 3)
+    assert hash(QSqrt2(2, 4, 6)) == hash(QSqrt2(1, 2, 3))
+    x = QSqrt2(-2, 4, -6)
+    assert (x.x, x.y, x.d) == (1, -2, 3)
+    x = QSqrt2(Fraction(3, 4), Fraction(-5, 6), 2)
+    assert (x.x, x.y, x.d) == (9, -10, 24)
+    assert x.a == Fraction(3, 8) and x.b == Fraction(-5, 12)
+    # the inverse of 1 + sqrt2 (norm -1) is sqrt2 - 1, with a positive denominator
+    x = QSqrt2(1, 1).inverse()
+    assert (x.x, x.y, x.d) == (-1, 1, 1)
+    x = QSqrt2(0, 3, 5).inverse()  # 5/(3 sqrt2) = 5 sqrt2 / 6
+    assert (x.x, x.y, x.d) == (0, 5, 6)
+    assert hash(QSqrt2(7, 0, 4)) == hash(Fraction(7, 4))
+    assert hash(QSqrt2(-3)) == hash(-3)
+    with pytest.raises(ZeroDivisionError):
+        QSqrt2(1, 1, 0)
