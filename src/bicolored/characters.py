@@ -7,6 +7,10 @@ from .enumeration import DEGREE_CAP, CapExceeded
 from .exact import QSqrt2, rising_factorial
 from .perm import all_permutations, cycle_type, total_cycles
 
+# twisted_refusal's work model: `char twisted 64 3/2 64 sqrt2` is 3.5e11 steps, and
+# shapes at the budget took 2.4 to 4.5 s on a 2-vCPU Xeon
+TWISTED_BUDGET = 10 ** 13
+
 
 class CyclicCharacter:
     """The cyclic character chi_z of degree p: chi(sigma) = z^(p - c(sigma))."""
@@ -74,16 +78,46 @@ def avg_char_naive(chi):
     return total / math.factorial(p)
 
 
+def _inverse_bits(v):
+    """Bits of 1/v's integers, about: (x + y sqrt2)/d inverts to d (x - y sqrt2)/(x^2 - 2y^2)."""
+    bits = max(v.x.bit_length(), v.y.bit_length(), v.d.bit_length())
+    return 2 * bits if v.y else bits
+
+
+def twisted_refusal(p, z, q, zprime):
+    """Why twisted_product(p, z, q, zprime) is refused as over a cap, or None if it runs.
+
+    The caps are p, q <= DEGREE_CAP and the work model
+    p^3 (q^3 a^2 + 16 (q a + b)^2) <= TWISTED_BUDGET, with a and b the bits of 1/z and
+    1/z'. Every ring operation ends in a gcd, quadratic in its operands: the rising
+    factorial of step k makes q products of up to q k a bits, and the k-th term of the
+    sum has about k (q a + b) bits. Fitted to timings of shapes up to 64 x 64 with bases
+    up to 850 bits, the model is within a factor of 3.
+    """
+    if max(p, q) > DEGREE_CAP:
+        return "twisted_product needs p, q <= %d" % DEGREE_CAP
+    a, b = _inverse_bits(z), _inverse_bits(zprime)
+    work = p ** 3 * (q ** 3 * a * a + 16 * (q * a + b) ** 2)
+    if work > TWISTED_BUDGET:
+        return ("twisted_product(%d, z, %d, z') with 1/z and 1/z' of %d and %d bits needs"
+                " about %.1e steps, over the budget of %.0e" % (p, q, a, b, work, TWISTED_BUDGET))
+    return None
+
+
 def twisted_product(p, z, q, zprime):
-    """((chi_z, chi_z')) = sum_k c(p,k) z'^(-k) (z^(-k))^(q rising) / (p! q!), O(pq) ring ops."""
+    """((chi_z, chi_z')) = sum_k c(p,k) z'^(-k) (z^(-k))^(q rising) / (p! q!), O(pq) ring ops.
+
+    Raises CapExceeded when twisted_refusal names a cap.
+    """
     if p < 1 or q < 1:
         raise ValueError("degrees must be positive")
-    if max(p, q) > DEGREE_CAP:
-        raise CapExceeded("twisted_product needs p, q <= %d" % DEGREE_CAP)
     z = QSqrt2._coerce(z)
     zprime = QSqrt2._coerce(zprime)
     if z == 0 or zprime == 0:
         raise ValueError("bases must be nonzero")
+    refusal = twisted_refusal(p, z, q, zprime)
+    if refusal:
+        raise CapExceeded(refusal)
     zi = z.inverse()
     zpi = zprime.inverse()
     total = QSqrt2(0)

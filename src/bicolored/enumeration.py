@@ -1,6 +1,7 @@
 """Exact |B_u(p,q)| by Polya's cycle-index form, brute-force oracles, and the orbit census."""
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -135,12 +136,14 @@ def _cell_maps(p, q):
 
 
 def _mask_table(cell_map, nbits):
-    """Image of every subset mask under a cell permutation, by lowest-bit recursion."""
-    bit_img = [1 << cell_map[i] for i in range(nbits)]
-    table = [0] * (1 << nbits)
-    for m in range(1, 1 << nbits):
-        low = m & -m
-        table[m] = table[m ^ low] | bit_img[low.bit_length() - 1]
+    """Image of every subset mask under a cell permutation, as an array('I') of 2^nbits.
+
+    Built by doubling: for m < 2^k, table[m + 2^k] = table[m] + 2^cell_map[k], as the
+    image of bit k is never set in table[m]. Each step is one C-level extend.
+    """
+    table = array("I", [0])
+    for k in range(nbits):
+        table.extend(map((1 << cell_map[k]).__add__, table[:]))
     return table
 
 
@@ -161,9 +164,8 @@ def orbit_census(p, q, max_pq=CENSUS_CAP):
     seen = bytearray(n)
     orbit_count = 0
     free_elements = 0
-    for seed in range(n):
-        if seen[seed]:
-            continue
+    seed = 0   # the smallest mask not yet seen; the loop runs once per orbit
+    while seed >= 0:
         orbit_count += 1
         stack = [seed]
         seen[seed] = 1
@@ -178,6 +180,7 @@ def orbit_census(p, q, max_pq=CENSUS_CAP):
                     stack.append(im)
         if size == order:
             free_elements += size
+        seed = seen.find(0, seed + 1)
     return OrbitCensus(p, q, orbit_count, free_elements, n)
 
 

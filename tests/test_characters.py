@@ -8,9 +8,9 @@ import pytest
 
 from bicolored.characters import (ClassFunctionTable, CyclicCharacter, avg_char,
                                   avg_char_naive, char_eval, twisted_product,
-                                  twisted_product_naive, verify_cyclic)
+                                  twisted_product_naive, twisted_refusal, verify_cyclic)
 from bicolored.enumeration import CapExceeded
-from bicolored.exact import QSqrt2, SQRT2, pow2, stirling_first
+from bicolored.exact import QSqrt2, SQRT2, parse_qsqrt2, pow2, stirling_first
 from bicolored.perm import Permutation, all_permutations
 
 BASES = [QSqrt2(Fraction(1, 2)), QSqrt2(2), QSqrt2(Fraction(-1, 3)), SQRT2,
@@ -133,6 +133,26 @@ def test_twisted_product_rejects_bad_args():
     for p, q in [(65, 2), (2, 65)]:
         with pytest.raises(CapExceeded):
             twisted_product(p, Fraction(1, 2), q, 2)
+
+
+def test_twisted_budget():
+    # accepted: the largest shapes of the CLI tests, the golden cases and the benchmark,
+    # and the oracle shape of theorem_bound, whose z' = 2^32 is long
+    for p, z, q, zp in [(64, "3/2", 64, "sqrt2"), (20, "sqrt2", 14, "3/2"),
+                        (6, "2/3-1/2*sqrt2", 5, "3/2"), (32, "sqrt2", 32, "3/2"),
+                        (64, "1/2", 64, str(2 ** 32))]:
+        assert twisted_refusal(p, parse_qsqrt2(z), q, parse_qsqrt2(zp)) is None, (p, z, q, zp)
+    z = parse_qsqrt2("12345678901234567890123456789013/1234567890123456789012345678901")
+    for p, q in [(64, 64), (32, 32)]:
+        assert "budget" in twisted_refusal(p, z, q, z)
+        with pytest.raises(CapExceeded):
+            twisted_product(p, z, q, z)
+    # a surd base is priced by its inverse, whose integers are twice as long
+    rational, surd = parse_qsqrt2("%d/7" % 2 ** 50), parse_qsqrt2("%d+1*sqrt2" % 2 ** 50)
+    assert twisted_refusal(32, rational, 32, rational) is None
+    assert "budget" in twisted_refusal(32, surd, 32, surd)
+    # the degree cap is checked first and keeps its message
+    assert twisted_refusal(65, z, 2, z) == "twisted_product needs p, q <= 64"
 
 
 def test_char_eval_degree_mismatch():

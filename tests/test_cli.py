@@ -94,6 +94,17 @@ def test_char_and_bound_caps(capsys):
         assert code == 0 and "_decimal = " in out, argv
 
 
+def test_char_twisted_over_budget_exits_promptly(capsys):
+    # a 64-character base at degrees 64 once ran for minutes; now refused before any work
+    z = "12345678901234567890123456789013/1234567890123456789012345678901"
+    assert len(z) == 64
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "char", "twisted", "64", z, "64", z)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("bicolored:")
+    assert "budget" in err
+
+
 def test_bound_over_budget_omits_exact(capsys):
     code, out, _ = run_cli(capsys, "bound", "40", "40", "--format", "json")
     assert code == 0

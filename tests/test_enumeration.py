@@ -1,13 +1,15 @@
 """Counting bicolored graphs and the orbit census."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from bicolored.enumeration import (CENSUS_CAP, COUNT_BUDGET, CapExceeded, _count_by_classes,
-                                   _partition_count, count_exact, count_naive, count_refusal,
-                                   free_fraction, free_fraction_lower_bound, orbit_census)
+from bicolored.enumeration import (CENSUS_CAP, COUNT_BUDGET, CapExceeded, _cell_maps,
+                                   _count_by_classes, _mask_table, _partition_count, count_exact,
+                                   count_naive, count_refusal, free_fraction,
+                                   free_fraction_lower_bound, orbit_census)
 from bicolored.perm import class_size, partitions
 
 # row p = 1..8 of |B_u(p, q)| for q = 1..4, checked against direct subset orbits
@@ -45,6 +47,81 @@ def test_count_matches_census():
         for q in range(0, 6):
             if p * q <= 16:
                 assert count_exact(p, q) == orbit_census(p, q).orbit_count
+
+
+def _list_mask_table(cell_map, nbits):
+    """The census tables as lists of Python ints, built by lowest-bit recursion."""
+    bit_img = [1 << cell_map[i] for i in range(nbits)]
+    table = [0] * (1 << nbits)
+    for m in range(1, 1 << nbits):
+        low = m & -m
+        table[m] = table[m ^ low] | bit_img[low.bit_length() - 1]
+    return table
+
+
+def _list_census(p, q):
+    """(orbit_count, free_element_count, total) by the list-based census: a DFS from every
+    unseen mask in increasing order, over list tables."""
+    if p * q == 0:
+        return 1, 1, 1
+    nbits = p * q
+    n = 1 << nbits
+    order = math.factorial(p) * math.factorial(q)
+    tables = [_list_mask_table(cm, nbits) for cm in _cell_maps(p, q)]
+    seen = bytearray(n)
+    orbit_count = free_elements = 0
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        orbit_count += 1
+        stack = [seed]
+        seen[seed] = 1
+        size = 0
+        while stack:
+            m = stack.pop()
+            size += 1
+            for table in tables:
+                im = table[m]
+                if not seen[im]:
+                    seen[im] = 1
+                    stack.append(im)
+        if size == order:
+            free_elements += size
+    return orbit_count, free_elements, n
+
+
+def test_census_matches_list_census():
+    for p in range(17):
+        for q in range(17):
+            if p * q <= 16:
+                c = orbit_census(p, q)
+                assert (c.orbit_count, c.free_element_count, c.total) == _list_census(p, q), (p, q)
+
+
+def test_mask_table_entries():
+    for p in range(1, 13):
+        for q in range(1, 12 // p + 1):
+            nbits = p * q
+            for cell_map in _cell_maps(p, q):
+                table = _mask_table(cell_map, nbits)
+                assert len(table) == 1 << nbits
+                for m, image in enumerate(table):
+                    assert image == sum(1 << cell_map[i] for i in range(nbits) if m >> i & 1)
+    # C promises only 2 bytes for 'I'; the tables must hold masks of CENSUS_CAP bits
+    assert _mask_table([0], 1).itemsize * 8 >= CENSUS_CAP
+
+
+def test_census_memory():
+    # four tables of 4-byte entries and the 1-byte seen array make about 17 bytes per
+    # mask; tables as lists of Python ints peaked at about 160
+    tracemalloc.start()
+    try:
+        census = orbit_census(3, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.total == 1 << 15
+    assert peak < 32 * census.total, peak
 
 
 def _class_sum(p, q):

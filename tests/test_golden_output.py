@@ -57,6 +57,9 @@ GOLDEN = [
      "202ca0ded8bbd379bc352549e252e7d1e689ee5f4e1cdba363ea496f9eda543f"),
     (["char", "twisted", "6", "2/3-1/2*sqrt2", "5", "3/2"],
      "ac4fdf9b501dca53f7045a12a1f7d29263784119ebe25215811571377fea6b42"),
+    # taken before the census moved to typed mask tables: the largest census, 2^20 masks
+    (["orbits", "4", "5", "--format", "json"],
+     "7b5370468609438d704ad58de50751d70373b7777745d59229237da2ea611ac5"),
 ]
 
 
