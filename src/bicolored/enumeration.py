@@ -1,15 +1,16 @@
 """Exact |B_u(p,q)| by Polya's cycle-index form, brute-force oracles, and the orbit census."""
 
 import math
-from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, filterfalse
 
 from .perm import all_permutations, class_size, cycle_type, partitions
 
 DEGREE_CAP = 64   # count_exact refuses degrees beyond this without an override
-CENSUS_CAP = 20   # orbit_census walks 2^(p q) subsets; cap on p*q
+CENSUS_CAP = 20   # orbit_census covers 2^(p q) subsets; cap on p*q
 # count_exact's work model, P(min(p,q)) max(p,q)^2 multiply-adds: (36,36) is accepted
 # and takes a few seconds, (37,37) is refused
 COUNT_BUDGET = 25_000_000
@@ -117,38 +118,30 @@ def count_naive(p, q):
     return total // order
 
 
-def _cell_maps(p, q):
-    """Cell index maps for generators of the row and column symmetric groups."""
-    maps = []
-    if p >= 2:
-        swaps = list(range(p))
-        swaps[0], swaps[1] = 1, 0
-        cyc = [(i + 1) % p for i in range(p)]
-        for rows in (swaps, cyc):
-            maps.append([rows[r] * q + c for r in range(p) for c in range(q)])
-    if q >= 2:
-        swaps = list(range(q))
-        swaps[0], swaps[1] = 1, 0
-        cyc = [(i + 1) % q for i in range(q)]
-        for cols in (swaps, cyc):
-            maps.append([r * q + cols[c] for r in range(p) for c in range(q)])
-    return maps
+def _row_images(r):
+    """Images of every r-bit column value under generators of S_r on its bits.
 
-
-def _mask_table(cell_map, nbits):
-    """Image of every subset mask under a cell permutation, as an array('I') of 2^nbits.
-
-    Built by doubling: for m < 2^k, table[m + 2^k] = table[m] + 2^cell_map[k], as the
-    image of bit k is never set in table[m]. Each step is one C-level extend.
+    The generators are the transposition (0 1) and the cycle i -> i+1 mod r; at r = 2
+    they coincide, so the transposition alone is built.
     """
-    table = array("I", [0])
-    for k in range(nbits):
-        table.extend(map((1 << cell_map[k]).__add__, table[:]))
-    return table
+    perms = []
+    if r >= 2:
+        perms.append([1, 0] + list(range(2, r)))
+    if r >= 3:
+        perms.append([(i + 1) % r for i in range(r)])
+    return [[sum(1 << perm[i] for i in range(r) if x >> i & 1) for x in range(1 << r)]
+            for perm in perms]
 
 
 def orbit_census(p, q, max_pq=CENSUS_CAP):
-    """Orbit and free-element counts over all 2^(p q) subsets; max_pq only lowers CENSUS_CAP."""
+    """Orbit and free-element counts over all 2^(p q) subsets; max_pq only lowers CENSUS_CAP.
+
+    A subset is an r x c 0/1 matrix, (r, c) = (p, q) or its transpose (q, p), which
+    preserves all three counts. Its S_c-orbit is the multiset of its c columns, each an
+    r-bit value (Harary & Palmer, ch. 4), so the S_p x S_q-orbits are the S_r-orbits on
+    column multisets. The walk takes its seeds from the sorted column tuples in
+    increasing order, in the orientation with fewer of them, C(2^r + c - 1, c).
+    """
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
     cap = min(max_pq, CENSUS_CAP)
@@ -157,31 +150,36 @@ def orbit_census(p, q, max_pq=CENSUS_CAP):
     if p * q == 0:
         # a single empty graph; free by the p=0 / q=0 convention
         return OrbitCensus(p, q, 1, 1, 1)
-    nbits = p * q
-    n = 1 << nbits
-    order = math.factorial(p) * math.factorial(q)
-    tables = [_mask_table(cm, nbits) for cm in _cell_maps(p, q)]
-    seen = bytearray(n)
+    r, c = min((p, q), (q, p), key=lambda rc: math.comb((1 << rc[0]) + rc[1] - 1, rc[1]))
+    images = _row_images(r)
+    r_order = math.factorial(r)
+    c_order = math.factorial(c)
+    seen = set()
     orbit_count = 0
-    free_elements = 0
-    seed = 0   # the smallest mask not yet seen; the loop runs once per orbit
-    while seed >= 0:
+    free_orbits = 0
+    weight = 0   # matrices covered: size * c!/prod(mult!) per orbit
+    for seed in filterfalse(seen.__contains__,
+                            combinations_with_replacement(range(1 << r), c)):
         orbit_count += 1
         stack = [seed]
-        seen[seed] = 1
+        seen.add(seed)
         size = 0
         while stack:
-            m = stack.pop()
+            cols = stack.pop()
             size += 1
-            for table in tables:
-                im = table[m]
-                if not seen[im]:
-                    seen[im] = 1
+            for image in images:
+                im = tuple(sorted(map(image.__getitem__, cols)))
+                if im not in seen:
+                    seen.add(im)
                     stack.append(im)
-        if size == order:
-            free_elements += size
-        seed = seen.find(0, seed + 1)
-    return OrbitCensus(p, q, orbit_count, free_elements, n)
+        mults = math.prod(map(math.factorial, Counter(seed).values()))
+        # free: no column swap fixes the seed (distinct columns) and no row permutation does
+        if mults == 1 and size == r_order:
+            free_orbits += 1
+        weight += size * (c_order // mults)
+    n = 1 << (p * q)
+    assert weight == n, (p, q, weight)
+    return OrbitCensus(p, q, orbit_count, free_orbits * math.factorial(p) * math.factorial(q), n)
 
 
 def free_fraction(p, q, max_pq=CENSUS_CAP):

@@ -60,6 +60,14 @@ GOLDEN = [
     # taken before the census moved to typed mask tables: the largest census, 2^20 masks
     (["orbits", "4", "5", "--format", "json"],
      "7b5370468609438d704ad58de50751d70373b7777745d59229237da2ea611ac5"),
+    # taken before the census moved to column multisets: r = 2, where the row
+    # transposition and cycle coincide, r = 1, and a shape walked transposed
+    (["orbits", "2", "10"],
+     "9a5054d7ea777190d6bab7ee18783e87554dad290fc1e8c7c6a06a4cbf92b27f"),
+    (["count", "19", "1", "--oracle", "census"],
+     "a5d586ce5c4b4a6ca9ca9ed199b83a0c10145b31583ad6a913a809a09580fc44"),
+    (["orbits", "6", "3", "--format", "csv"],
+     "da1a823592fcb22a61877e137f39fa373df599d975e051a25edf3122d1d8c7ed"),
 ]
 
 
