@@ -3,7 +3,9 @@
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -247,6 +249,17 @@ def test_readme_examples(capsys):
     for command in commands:
         code, out, err = run_cli(capsys, *shlex.split(command)[1:])
         assert code == 0 and out and err == "", command
+
+
+def test_python_dash_m(capsys):
+    # `python -m bicolored` runs the same CLI from a checkout, without installing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bicolored", "count", "3", "3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    code, out, _ = run_cli(capsys, "count", "3", "3")
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and "value = 36" in out
 
 
 def test_closed_stdout_exits_quietly(monkeypatch):

@@ -68,6 +68,12 @@ GOLDEN = [
      "a5d586ce5c4b4a6ca9ca9ed199b83a0c10145b31583ad6a913a809a09580fc44"),
     (["orbits", "6", "3", "--format", "csv"],
      "da1a823592fcb22a61877e137f39fa373df599d975e051a25edf3122d1d8c7ed"),
+    # taken before the count kernel moved to shifts and one exact division per step:
+    # the longest counts it prints within the tier-1 time, balanced and skewed
+    (["count", "26", "26"],
+     "1d31c6b19018331d9a9e5d1326bf693af717f187af95ae076feae08e2c619751"),
+    (["count", "5", "64", "--format", "json"],
+     "52c6f355697151d5534224ff41092c092ba832796f6ba6cffd56d65843d8645d"),
 ]
 
 
