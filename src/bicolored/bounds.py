@@ -6,7 +6,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
-from .exact import QSqrt2, decimal_render, stirling_first
+from .characters import _twisted_sum
+from .exact import QSqrt2, decimal_render, pow2
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
@@ -41,33 +42,17 @@ def theorem_bound(p, q):
     """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2).
 
     Summed over the cycle count l of S_q, the bound is
-    sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q) / (p! q!), an element A + B sqrt2 of
-    Z[sqrt2] over p! q!, computed in integers from the Stirling row of q. Raises
+    sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q) / (p! q!), an element of Z[sqrt2] over
+    p! q!; the twisted product's kernel computes it from the Stirling row of q. Raises
     CapExceeded for q > DEGREE_CAP, which bounds the Stirling rows built, or for
-    p*q > DEGREE_CAP^2, which bounds the size of A and B.
+    p*q > DEGREE_CAP^2, which bounds the size of its integers.
     """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
     if q > DEGREE_CAP or p * q > DEGREE_CAP * DEGREE_CAP:
         raise CapExceeded("theorem_bound needs q <= %d and p*q <= %d"
                           % (DEGREE_CAP, DEGREE_CAP * DEGREE_CAP))
-    h = 1 << (q // 2)  # sqrt2^q is h for even q and h sqrt2 for odd q
-    big_a = big_b = 0
-    for l in range(1, q + 1):
-        x = 1 << l
-        a, b = x, 0  # the factor at i = 0
-        if q % 2:
-            for i in range(1, p):
-                # (a + b sqrt2)(x + i h sqrt2)
-                ih = i * h
-                a, b = a * x + 2 * b * ih, a * ih + b * x
-        else:
-            for i in range(1, p):
-                a *= x + i * h
-        c = stirling_first(q, l)
-        big_a += c * a
-        big_b += c * b
-    return QSqrt2(big_a, big_b, math.factorial(p) * math.factorial(q))
+    return pow2(Fraction(p * q, 2)) * _twisted_sum(p, Fraction(1, 2), q, pow2(Fraction(q, 2)))
 
 
 def ao_bounds(p, q):

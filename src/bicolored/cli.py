@@ -120,6 +120,8 @@ def cmd_bound(args, out):
 
 
 def cmd_table(args, out):
+    if args.p_step < 1:
+        raise ValueError("table needs --p-step >= 1")
     p_values = list(range(args.p_min, args.p_max + 1, args.p_step))
     k_values = list(range(args.k_min, args.k_max + 1))
     rows = ratio_table(p_values, k_values)
@@ -136,16 +138,17 @@ def cmd_table(args, out):
 def cmd_orbits(args, out):
     results = {}
     lower = free_fraction_lower_bound(args.p, args.q, args.max_degree)
-    if args.p * args.q <= min(args.max_pq, CENSUS_CAP):
+    try:
         census = orbit_census(args.p, args.q, args.max_pq)
+    except CapExceeded:
+        results["census_skipped"] = True
+    else:
         f = Fraction(census.free_element_count, census.total)
         results["free_fraction"] = str(f)
         results["orbit_count"] = str(census.orbit_count)
         results["free_elements"] = str(census.free_element_count)
         results["total"] = str(census.total)
         results["census_skipped"] = False
-    else:
-        results["census_skipped"] = True
     results["lower_bound"] = str(lower)
     record = _record("orbits", {"p": args.p, "q": args.q}, results)
     _emit(record, args.format, out)

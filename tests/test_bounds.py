@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from bicolored import characters
+from bicolored import exact
 from bicolored.bounds import (a_log2_closed_form, a_term, ao_bounds, bound_report,
                               growth_ratio, h_constant, ratio_table, tail_ratio,
                               theorem_bound, verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
-from bicolored.enumeration import CapExceeded, count_exact
-from bicolored.exact import QSqrt2, pow2
+from bicolored.enumeration import DEGREE_CAP, CapExceeded, count_exact
+from bicolored.exact import QSqrt2, parse_qsqrt2, pow2, rising_factorial
 
 
 def test_theorem_bound_small_values():
@@ -21,20 +21,45 @@ def test_theorem_bound_small_values():
         theorem_bound(0, 3)
 
 
-def twisted_bound(p, q, product=twisted_product):
+def twisted_k_loop(p, z, q, zprime):
+    """((chi_z, chi_z')) = sum_k c(p,k) z'^(-k) (z^(-k))^(q rising) / (p! q!), uncapped.
+
+    The oracle for shapes too large for the naive sum: it walks the Stirling row of p,
+    not q, and reduces every term in Q(sqrt 2).
+    """
+    zi = QSqrt2._coerce(z).inverse()
+    zpi = QSqrt2._coerce(zprime).inverse()
+    total = QSqrt2(0)
+    zik = QSqrt2(1)    # z^(-k)
+    zpik = QSqrt2(1)   # z'^(-k)
+    for k in range(1, p + 1):
+        zik = zik * zi
+        zpik = zpik * zpi
+        # sum_l c(q,l) z^(-kl) is the rising factorial of z^(-k)
+        total = total + exact.stirling_first(p, k) * zpik * rising_factorial(zik, q)
+    return total / (math.factorial(p) * math.factorial(q))
+
+
+def twisted_bound(p, q, product=twisted_k_loop):
     """The bound as the paper states it: 2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}}))."""
     return pow2(Fraction(p * q, 2)) * product(p, Fraction(1, 2), q, pow2(Fraction(q, 2)))
 
 
-def test_theorem_bound_matches_twisted_product(monkeypatch):
+def test_theorem_bound_matches_twisted_product():
     for p in range(1, 25):
         for q in range(1, 25):
             assert theorem_bound(p, q) == twisted_bound(p, q), (p, q)
-    # both parities of q at the largest degrees, and the shape of `bound 70 3`, for
-    # which the oracle's degree cap is lifted
-    monkeypatch.setattr(characters, "DEGREE_CAP", 70)
+    # both parities of q at the largest degrees, and the shape of `bound 70 3`
     for p, q in [(3, 64), (64, 3), (70, 3), (64, 64)]:
         assert theorem_bound(p, q) == twisted_bound(p, q), (p, q)
+
+
+def test_twisted_product_matches_k_loop():
+    # the largest shapes, the bound's own bases at 64 x 64, and a negative base
+    for p, z, q, zp in [(64, "3/2", 64, "sqrt2"), (64, "1/2", 64, str(2 ** 32)),
+                        (20, "sqrt2", 14, "3/2"), (7, "-3/2", 9, "1-1*sqrt2")]:
+        z, zp = parse_qsqrt2(z), parse_qsqrt2(zp)
+        assert twisted_product(p, z, q, zp) == twisted_k_loop(p, z, q, zp), (p, z, q, zp)
 
 
 def test_theorem_bound_matches_naive_sum():
@@ -49,6 +74,13 @@ def test_theorem_bound_caps():
     for p, q in [(4097, 1), (65, 64), (1, 65)]:
         with pytest.raises(CapExceeded):
             theorem_bound(p, q)
+
+
+def test_theorem_bound_builds_stirling_rows_of_q(monkeypatch):
+    # the q cap bounds the Stirling rows built, however large p is
+    monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
+    theorem_bound(4096, 1)
+    assert max(exact._stirling_rows) <= DEGREE_CAP
 
 
 def test_theorem_bound_not_symmetric():

@@ -137,7 +137,7 @@ def test_twisted_product_rejects_bad_args():
 
 def test_twisted_budget():
     # accepted: the largest shapes of the CLI tests, the golden cases and the benchmark,
-    # and the oracle shape of theorem_bound, whose z' = 2^32 is long
+    # and the shape of theorem_bound(64, 64) as a twisted product, whose z' = 2^32 is long
     for p, z, q, zp in [(64, "3/2", 64, "sqrt2"), (20, "sqrt2", 14, "3/2"),
                         (6, "2/3-1/2*sqrt2", 5, "3/2"), (32, "sqrt2", 32, "3/2"),
                         (64, "1/2", 64, str(2 ** 32))]:

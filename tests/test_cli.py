@@ -138,6 +138,13 @@ def test_table_determinism(capsys):
     assert first == second
 
 
+def test_table_rejects_nonpositive_p_step(capsys):
+    for step in ("0", "-3"):
+        code, out, err = run_cli(capsys, "table", "--p-step", step)
+        assert code == 2 and out == "", step
+        assert err.startswith("bicolored:") and "--p-step" in err, step
+
+
 def test_orbits(capsys):
     code, out, _ = run_cli(capsys, "orbits", "2", "2", "--format", "json")
     assert code == 0

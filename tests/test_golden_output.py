@@ -74,6 +74,16 @@ GOLDEN = [
      "1d31c6b19018331d9a9e5d1326bf693af717f187af95ae076feae08e2c619751"),
     (["count", "5", "64", "--format", "json"],
      "52c6f355697151d5534224ff41092c092ba832796f6ba6cffd56d65843d8645d"),
+    # taken before the bound and the twisted product shared one kernel: p and q both
+    # odd, the largest p, and negative bases
+    (["bound", "7", "9"],
+     "395fc5e593728481211946fac68330c3b07b9bc7ba06c1e18f162d24ee9540e2"),
+    (["bound", "4096", "1"],
+     "f877bf84b72e9bb595f785bf6378f4237cc9c7d9f056e338dceb65839cac24d3"),
+    (["char", "twisted", "--", "7", "-3/2", "9", "1-1*sqrt2"],
+     "08a54b29e957f94315879f28faf38db7bb667a94de960e0569f3c2a6079bd637"),
+    (["char", "twisted", "--", "1", "sqrt2", "1", "-sqrt2"],
+     "c35e2108cdc5c4f4f73c746bccf6464dbd6300e80c1a00bdaf17aa7962d76585"),
 ]
 
 
