@@ -1,5 +1,6 @@
 """Upper bounds for |B_u(p,q)|, the comparison table, and asymptotic verification."""
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,14 +21,6 @@ class BoundReport:
     ao_lower: Fraction
     ao_upper: Fraction
     exact: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class AsymptoticTerm:
-    h: int
-    p: int
-    k: int
-    log2_value: float  # -inf marks an exactly zero term
 
 
 @dataclass(frozen=True)
@@ -88,43 +81,35 @@ def ratio_table(p_values, k_values):
     return rows
 
 
-def growth_ratio(p, k, max_degree=DEGREE_CAP):
+def growth_ratio(p, k):
     """|B_u(p,p+k)| p! (p+k)! / 2^(p(p+k)), the ratio against the limiting rate."""
     q = p + k
-    value = count_exact(p, q, max_degree)
+    value = count_exact(p, q)
     return Fraction(value * math.factorial(p) * math.factorial(q), 1 << (p * q))
 
 
-def _log2_big(x):
-    """log2 of a positive integer, safe beyond the double range."""
-    bl = x.bit_length()
-    if bl <= 960:
-        return math.log2(x)
-    shift = bl - 64
-    return shift + math.log2(x >> shift)
+def _a_log2_terms(h, k):
+    """log2 a_{h,p} for p = h+1, h+2, ..., by incremental updates; -inf at p = 1."""
+    m0 = h + 1 + k
+    base = 1 << h
+    s = sum(math.log2(base + i) for i in range(m0))
+    log_binom = math.log2(h + 1)  # binom(h+1, h)
+    for p in itertools.count(h + 1):
+        m = p + k
+        if p > h + 1:
+            log_binom += math.log2(p) - math.log2(p - h)
+            s += math.log2(base + m - 1)
+        if p == 1:
+            yield float("-inf")  # the base (p-1)/2 vanishes and p - h > 0
+        else:
+            yield log_binom + (p - h) * (math.log2(p - 1) - 1 + m / 2) + s - p * m
 
 
 def _a_log2(h, p, k):
-    """Direct log2 evaluation of the a_{h,p} product; -inf for the zero cases."""
+    """log2 of the a_{h,p} product; -inf for the zero cases h < 0 and h >= p."""
     if h < 0 or h >= p:
         return float("-inf")
-    if p == 1:
-        return float("-inf")  # the base (p-1)/2 vanishes and p - h > 0
-    m = p + k
-    base = 1 << h
-    s = 0.0
-    for i in range(m):
-        s += math.log2(base + i)
-    return (_log2_big(math.comb(p, h))
-            + (p - h) * (math.log2(p - 1) - 1 + m / 2)
-            + s - p * m)
-
-
-def a_term(h, p, k):
-    """log2 of a_{h,p} at offset k; exactly zero (log2 = -inf) unless 0 <= h < p."""
-    if p < 1 or k < 0:
-        raise ValueError("p >= 1 and k >= 0 required")
-    return AsymptoticTerm(h, p, k, _a_log2(h, p, k))
+    return next(itertools.islice(_a_log2_terms(h, k), p - h - 1, None))
 
 
 def a_log2_closed_form(h, k):
@@ -137,33 +122,18 @@ def a_log2_closed_form(h, k):
     return math.log2(h * (h + 1) / 2) + m * (-h - 0.5) + s
 
 
-def _scan_h(h, k, p_max):
-    """Maximum of log2 a_{h,p} over h < p <= p_max, by incremental updates."""
-    m0 = h + 1 + k
-    base = 1 << h
-    s = sum(math.log2(base + i) for i in range(m0))
-    log_binom = math.log2(h + 1)  # binom(h+1, h)
-    best = float("-inf")
-    best_p = 0
-    for p in range(h + 1, p_max + 1):
-        m = p + k
-        if p > h + 1:
-            log_binom += math.log2(p) - math.log2(p - h)
-            s += math.log2(base + m - 1)
-        value = log_binom + (p - h) * (math.log2(p - 1) - 1 + m / 2) + s - p * m
-        if value > best:
-            best = value
-            best_p = p
-    return best, best_p
-
-
 def verify_H(k, h_max=64, p_max=512):
     """Per h, where max_p a_{h,p} is attained; the contract is p = h+1 for h >= H_k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     rows = []
     for h in range(1, h_max + 1):
-        best, best_p = _scan_h(h, k, p_max)
+        best = float("-inf")
+        best_p = 0
+        for p, value in zip(range(h + 1, p_max + 1), _a_log2_terms(h, k)):
+            if value > best:
+                best = value
+                best_p = p
         rows.append(HRow(h, best_p, best, best_p == h + 1))
     return rows
 

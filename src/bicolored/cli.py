@@ -16,8 +16,9 @@ from .enumeration import (CapExceeded, CENSUS_CAP, DEGREE_CAP, count_exact, coun
 from .exact import decimal_render, parse_qsqrt2, qsqrt2_str
 
 BASE_CAP = 256  # characters in a base literal of `char`
-# Decimal digits of the longest integer the CLI can print. A base literal of at most
-# BASE_CAP characters is (x + y sqrt2)/d with |x|, |y|, d < 10^BASE_CAP, and its inverse w
+# Decimal digits of the longest integer the CLI can print. A base literal spells its
+# integers in digits, with no exponent, so one of at most BASE_CAP characters is
+# (x + y sqrt2)/d with |x|, |y|, d < 10^BASE_CAP, and its inverse w
 # has integers under 2 * 100^BASE_CAP. A `char` value is
 # sum_{k,l} c(p,k) c(q,l) w^(kl) w'^k / (p! q!) with p, q <= DEGREE_CAP, so its integers
 # have fewer than (pq + p)(2 BASE_CAP + 1) + log10(p! q!) + 1 digits, and its decimal
@@ -122,8 +123,8 @@ def cmd_bound(args, out):
 def cmd_table(args, out):
     if args.p_step < 1:
         raise ValueError("table needs --p-step >= 1")
-    p_values = list(range(args.p_min, args.p_max + 1, args.p_step))
-    k_values = list(range(args.k_min, args.k_max + 1))
+    p_values = range(args.p_min, args.p_max + 1, args.p_step)
+    k_values = range(args.k_min, args.k_max + 1)
     rows = ratio_table(p_values, k_values)
     header = ["p"] + ["k=%d" % k for k in k_values]
     body = [["p=%d" % p] + row for p, row in zip(p_values, rows)]

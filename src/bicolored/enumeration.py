@@ -184,9 +184,9 @@ def orbit_census(p, q, max_pq=CENSUS_CAP):
     return OrbitCensus(p, q, orbit_count, free_orbits * math.factorial(p) * math.factorial(q), n)
 
 
-def free_fraction(p, q, max_pq=CENSUS_CAP):
+def free_fraction(p, q):
     """f(p,q): the fraction of subsets lying in a free orbit."""
-    census = orbit_census(p, q, max_pq)
+    census = orbit_census(p, q)
     return Fraction(census.free_element_count, census.total)
 
 

@@ -171,7 +171,8 @@ class QSqrt2:
 
 SQRT2 = QSqrt2(0, 1)
 
-_QS_RE = re.compile(r"^(-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)\*sqrt2$")
+_RATIONAL = r"\d+(?:/\d+)?"  # an unsigned integer or n/d
+_QS_RE = re.compile(r"(-?%s)(?:([+-]%s)\*sqrt2)?" % (_RATIONAL, _RATIONAL))
 
 
 def qsqrt2_str(x):
@@ -182,16 +183,20 @@ def qsqrt2_str(x):
 
 
 def parse_qsqrt2(s):
-    """Parse sqrt2, an integer, n/d, or the canonical a+b*sqrt2 form."""
+    """Parse sqrt2, -sqrt2, an integer, n/d, or the canonical a+b*sqrt2 form.
+
+    Nothing else is accepted: an exponent such as 1e9999 would let a short literal
+    stand for a huge number.
+    """
     s = s.strip()
     if s == "sqrt2":
         return QSqrt2(0, 1)
     if s == "-sqrt2":
         return QSqrt2(0, -1)
-    m = _QS_RE.match(s)
-    if m:
-        return QSqrt2(Fraction(m.group(1)), Fraction(m.group(2)))
-    return QSqrt2(Fraction(s))
+    m = _QS_RE.fullmatch(s)
+    if not m:
+        raise ValueError("base %r is not sqrt2, -sqrt2, an integer, n/d or a+b*sqrt2" % s)
+    return QSqrt2(Fraction(m.group(1)), Fraction(m.group(2) or 0))
 
 
 def pow2(e):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bicolored import exact
-from bicolored.bounds import (a_log2_closed_form, a_term, ao_bounds, bound_report,
+from bicolored.bounds import (_a_log2, a_log2_closed_form, ao_bounds, bound_report,
                               growth_ratio, h_constant, ratio_table, tail_ratio,
                               theorem_bound, verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
@@ -166,21 +166,17 @@ def test_growth_ratio():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_a_term_zero_cases():
-    assert a_term(3, 3, 0).log2_value == float("-inf")
-    assert a_term(5, 3, 1).log2_value == float("-inf")
-    assert a_term(0, 1, 0).log2_value == float("-inf")
-    assert a_term(2, 6, 1).log2_value > float("-inf")
-    with pytest.raises(ValueError):
-        a_term(2, 0, 0)
-    with pytest.raises(ValueError):
-        a_term(2, 6, -1)
+def test_a_log2_zero_cases():
+    assert _a_log2(3, 3, 0) == float("-inf")
+    assert _a_log2(5, 3, 1) == float("-inf")
+    assert _a_log2(0, 1, 0) == float("-inf")
+    assert _a_log2(2, 6, 1) > float("-inf")
 
 
-def test_a_term_closed_form_at_first_p():
+def test_a_log2_closed_form_at_first_p():
     for k in range(5):
         for h in range(1, 41):
-            direct = a_term(h, h + 1, k).log2_value
+            direct = _a_log2(h, h + 1, k)
             closed = a_log2_closed_form(h, k)
             assert abs(direct - closed) < 1e-9 * max(1.0, abs(closed))
 
@@ -193,6 +189,14 @@ def test_verify_H_flags():
         for r in rows:
             if r.h >= h_constant(k):
                 assert r.at_first
+
+
+def test_verify_H_argmax():
+    # where each maximum over p <= 512 sits; every other h has it at p = h+1
+    off_first = {(0, 1): 5, (0, 2): 5, (0, 3): 5, (0, 4): 6, (1, 1): 4, (1, 2): 4, (2, 1): 3}
+    for k in range(4):
+        for r in verify_H(k, 64, 512):
+            assert r.argmax_p == off_first.get((k, r.h), r.h + 1), (k, r.h)
 
 
 def test_h_constant():

@@ -138,6 +138,16 @@ def test_table_determinism(capsys):
     assert first == second
 
 
+def test_table_huge_ranges_exit_promptly(capsys):
+    # the ranges are not materialised: the first cell over a cap refuses the table
+    for flag in ("--p-max", "--k-max"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "table", flag, "100000000000")
+        assert time.perf_counter() - start < 1.0, flag
+        assert code == 2 and out == "", flag
+        assert err == "bicolored: ao_bounds needs q <= 64\n", flag
+
+
 def test_table_rejects_nonpositive_p_step(capsys):
     for step in ("0", "-3"):
         code, out, err = run_cli(capsys, "table", "--p-step", step)
@@ -239,6 +249,16 @@ def test_char_base_literal_cap(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == "bicolored: char needs base literals of at most 256 characters\n"
+
+
+def test_exponent_base_literals_exit_promptly(capsys):
+    # a short literal with an exponent would stand for a huge number: refused unconverted
+    for argv in (["char", "avg", "64", "1e9999"], ["char", "twisted", "2", "1e9999999", "2", "2"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "" and err.startswith("bicolored:"), argv
+        assert "n/d" in err, argv
 
 
 class ClosedPipe(io.StringIO):

@@ -187,6 +187,13 @@ def test_canonical_string_round_trip():
     assert parse_qsqrt2("sqrt2") == SQRT2
     assert parse_qsqrt2("3/2") == QSqrt2(Fraction(3, 2))
     assert parse_qsqrt2("-5") == QSqrt2(-5)
+    assert parse_qsqrt2(" -sqrt2 ") == -SQRT2
+    assert parse_qsqrt2("-3/4-1/2*sqrt2") == QSqrt2(Fraction(-3, 4), Fraction(-1, 2))
+    # only the forms above: no exponent, decimal point, leading + or digit separator
+    for text in ("1e9999", "1.5", ".5", "+3", "1_000", "3+-2*sqrt2", "2*sqrt2", "1/-2",
+                 "sqrt2+1", "", "inf", "nan"):
+        with pytest.raises(ValueError, match="n/d"):
+            parse_qsqrt2(text)
     assert qsqrt2_str(QSqrt2(1, Fraction(-3, 2))) == "1-3/2*sqrt2"
 
 
