@@ -3,7 +3,7 @@
 import math
 
 from .enumeration import DEGREE_CAP, CapExceeded
-from .exact import QSqrt2, rising_factorial, stirling_first
+from .exact import QSqrt2, stirling_first
 from .perm import all_permutations, cycle_type, total_cycles
 
 # twisted_refusal's work model: `char twisted 64 3/2 64 sqrt2` is 3.5e11 steps, and
@@ -58,14 +58,12 @@ def verify_cyclic(table):
 
 
 def avg_char(chi):
-    """(1/p!) sum of chi over the symmetric group, via the rising-factorial formula."""
+    """(1/p!) sum of chi over the symmetric group: z^p (1/z)^(p rising) / p!, by _twisted_sum."""
     p = chi.degree
     if p > DEGREE_CAP:
         raise CapExceeded("avg_char needs p <= %d" % DEGREE_CAP)
-    if p == 0:
-        return QSqrt2(1)
     z = chi.base
-    return z ** p * rising_factorial(z.inverse(), p) / math.factorial(p)
+    return z ** p * _twisted_sum(p, z, 1, 1)
 
 
 def avg_char_naive(chi):

@@ -13,7 +13,7 @@ from .bounds import bound_report, ratio_table
 from .characters import avg_char, twisted_product, CyclicCharacter
 from .enumeration import (CapExceeded, CENSUS_CAP, DEGREE_CAP, count_exact, count_naive,
                           free_fraction_lower_bound, orbit_census)
-from .exact import decimal_render, parse_qsqrt2, qsqrt2_str
+from .exact import decimal_render, parse_qsqrt2
 
 BASE_CAP = 256  # characters in a base literal of `char`
 # Decimal digits of the longest integer the CLI can print. A base literal spells its
@@ -86,14 +86,10 @@ def _emit_table(record, fmt, out):
 def cmd_count(args, out):
     value = count_exact(args.p, args.q, args.max_degree)
     results = {"value": str(value)}
-    if args.oracle == "naive":
-        other = count_naive(args.p, args.q)
-        results["oracle"] = "naive"
-        results["oracle_value"] = str(other)
-        results["agreement"] = value == other
-    elif args.oracle == "census":
-        other = orbit_census(args.p, args.q, args.max_pq).orbit_count
-        results["oracle"] = "census"
+    if args.oracle:
+        other = (count_naive(args.p, args.q) if args.oracle == "naive"
+                 else orbit_census(args.p, args.q, args.max_pq).orbit_count)
+        results["oracle"] = args.oracle
         results["oracle_value"] = str(other)
         results["agreement"] = value == other
     record = _record("count", {"p": args.p, "q": args.q}, results)
@@ -105,7 +101,7 @@ def cmd_bound(args, out):
     report = bound_report(args.p, args.q, max_degree=args.max_degree)
     with _printable():
         results = {
-            "theorem_bound": qsqrt2_str(report.theorem_bound),
+            "theorem_bound": str(report.theorem_bound),
             "theorem_bound_decimal": decimal_render(report.theorem_bound, 6),
             "places": 6,
             "ao_lower": str(report.ao_lower),
@@ -123,6 +119,10 @@ def cmd_bound(args, out):
 def cmd_table(args, out):
     if args.p_step < 1:
         raise ValueError("table needs --p-step >= 1")
+    for side, low, high in (("p", args.p_min, args.p_max), ("k", args.k_min, args.k_max)):
+        if low > high:
+            raise ValueError("table needs --%s-min <= --%s-max, got %d > %d"
+                             % (side, side, low, high))
     p_values = range(args.p_min, args.p_max + 1, args.p_step)
     k_values = range(args.k_min, args.k_max + 1)
     rows = ratio_table(p_values, k_values)
@@ -164,7 +164,7 @@ def cmd_char(args, out):
         value = twisted_product(args.p, _parse_base(args.z), args.q, _parse_base(args.zprime))
         params = {"op": "twisted", "p": args.p, "z": args.z, "q": args.q, "zprime": args.zprime}
     with _printable():
-        results = {"value": qsqrt2_str(value),
+        results = {"value": str(value),
                    "value_decimal": decimal_render(value, 6),
                    "places": 6}
     record = _record("char", params, results)

@@ -192,6 +192,6 @@ def free_fraction(p, q):
 
 def free_fraction_lower_bound(p, q, max_degree=DEGREE_CAP):
     """max(0, 2 - p! q! |B_u(p,q)| / 2^(p q))."""
-    raw = 2 - Fraction(math.factorial(p) * math.factorial(q) * count_exact(p, q, max_degree),
-                       1 << (p * q))
+    count = count_exact(p, q, max_degree)  # first: it refuses a negative p or q
+    raw = 2 - Fraction(math.factorial(p) * math.factorial(q) * count, 1 << (p * q))
     return max(Fraction(0), raw)

@@ -158,28 +158,21 @@ class QSqrt2:
         return self.x / self.d + self.y / self.d * math.sqrt(2)
 
     def __str__(self):
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        if a == 0:
-            return "sqrt2" if b == 1 else "%s*sqrt2" % b
-        op = "-" if b < 0 else "+"
-        return "%s%s%s*sqrt2" % (a, op, abs(b))
+        """The canonical form a+b*sqrt2, both parts always, each in lowest terms."""
+        d = self.d
+
+        def part(n):
+            g = math.gcd(n, d)
+            return "%d" % (n // g) if g == d else "%d/%d" % (n // g, d // g)
+        return "%s%s%s*sqrt2" % (part(self.x), "-" if self.y < 0 else "+", part(abs(self.y)))
 
     __repr__ = __str__
 
 
 SQRT2 = QSqrt2(0, 1)
 
-_RATIONAL = r"\d+(?:/\d+)?"  # an unsigned integer or n/d
-_QS_RE = re.compile(r"(-?%s)(?:([+-]%s)\*sqrt2)?" % (_RATIONAL, _RATIONAL))
-
-
-def qsqrt2_str(x):
-    """Lossless canonical form a+b*sqrt2 (always both components)."""
-    x = QSqrt2._coerce(x)
-    op = "-" if x.b < 0 else "+"
-    return "%s%s%s*sqrt2" % (x.a, op, abs(x.b))
+# an optional sign, n or n/d, then optionally a sign, n or n/d and *sqrt2
+_QS_RE = re.compile(r"(-?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?\*sqrt2)?")
 
 
 def parse_qsqrt2(s):
@@ -196,7 +189,11 @@ def parse_qsqrt2(s):
     m = _QS_RE.fullmatch(s)
     if not m:
         raise ValueError("base %r is not sqrt2, -sqrt2, an integer, n/d or a+b*sqrt2" % s)
-    return QSqrt2(Fraction(m.group(1)), Fraction(m.group(2) or 0))
+    a, da, b, db = m.groups()
+    da, db = int(da or 1), int(db or 1)
+    if da == 0 or db == 0:
+        raise ValueError("base %r has a zero denominator" % s)
+    return QSqrt2(int(a) * db, int(b or 0) * da, da * db)
 
 
 def pow2(e):

@@ -15,6 +15,11 @@ from bicolored.perm import Permutation, all_permutations
 
 BASES = [QSqrt2(Fraction(1, 2)), QSqrt2(2), QSqrt2(Fraction(-1, 3)), SQRT2,
          QSqrt2(1, Fraction(1, 2))]
+# a 249-character base literal, near the CLI's 256-character cap
+LONG_SURD = ("123456789012345678901234567890123456789012345678901234567891"
+             "/987654321098765432109876543210987654321098765432109876543217"
+             "-314159265358979323846264338327950288419716939937510582097494"
+             "/271828182845904523536028747135266249775724709369995957496697*sqrt2")
 
 
 def count_cycles_by_walking(images):
@@ -44,6 +49,19 @@ def test_avg_char_matches_naive():
         for z in BASES:
             chi = CyclicCharacter(p, z)
             assert avg_char(chi) == avg_char_naive(chi)
+
+
+def test_avg_char_matches_rising_factorial_formula():
+    # the formula avg_char used before it joined _twisted_sum, z^p (1/z)^(p rising) / p!,
+    # with z^p, the rising factorial and p! each built up one factor per p
+    for text in ("2", "-3/2", "sqrt2", "1-1*sqrt2", LONG_SURD):
+        z = parse_qsqrt2(text)
+        w = z.inverse()
+        zp, rising, factorial = QSqrt2(1), QSqrt2(1), 1
+        for p in range(65):
+            if p:
+                zp, rising, factorial = zp * z, rising * (w + p - 1), factorial * p
+            assert avg_char(CyclicCharacter(p, z)) == zp * rising / factorial, (text, p)
 
 
 def test_avg_char_at_one():

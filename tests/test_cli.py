@@ -155,6 +155,14 @@ def test_table_rejects_nonpositive_p_step(capsys):
         assert err.startswith("bicolored:") and "--p-step" in err, step
 
 
+def test_table_rejects_inverted_ranges(capsys):
+    for argv, pair in ((["--p-max", "1"], "3 > 1"), (["--k-max", "-1", "--p-max", "6"], "0 > -1"),
+                       (["--p-min", "9", "--p-max", "8"], "9 > 8")):
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("bicolored:") and pair in err, argv
+
+
 def test_orbits(capsys):
     code, out, _ = run_cli(capsys, "orbits", "2", "2", "--format", "json")
     assert code == 0
@@ -200,6 +208,15 @@ def test_error_exit_codes(capsys):
     assert code == 2 and "bicolored:" in err
     code, _, err = run_cli(capsys, "orbits", "70", "2")
     assert code == 2
+    for p, q in (("-1", "2"), ("2", "-1")):
+        code, out, err = run_cli(capsys, "orbits", p, q)
+        assert (code, out, err) == (2, "", "bicolored: p, q must be nonnegative\n"), (p, q)
+    # a zero denominator in either part of a base is named, not reported as Fraction(n, 0)
+    for argv in (["avg", "3", "1/0"], ["avg", "3", "1+1/0*sqrt2"],
+                 ["twisted", "3", "0/0", "2", "2"], ["twisted", "3", "2", "2", "1-1/0*sqrt2"]):
+        code, out, err = run_cli(capsys, "char", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("bicolored: base ") and "zero denominator" in err, argv
     code, _, err = run_cli(capsys, "char", "avg", "3", "0")
     assert code == 2
     code, _, err = run_cli(capsys, "char", "avg", "3", "xyz")

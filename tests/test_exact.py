@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bicolored.exact import (QSqrt2, SQRT2, decimal_render, parse_qsqrt2, pow2, qsqrt2_str,
-                             rising_factorial, stirling_first)
+from bicolored.exact import (QSqrt2, SQRT2, decimal_render, parse_qsqrt2, pow2, rising_factorial,
+                             stirling_first)
 from bicolored.perm import all_permutations, cycle_type, total_cycles
 
 # R = floor(10^60 sqrt2) / 10^60 lies just below sqrt2: 0 < sqrt2 - R < 10^-60, so
@@ -180,10 +180,14 @@ def test_decimal_render_places_cap():
 
 def test_canonical_string_round_trip():
     rng = random.Random(5)
-    for _ in range(200):
-        x = QSqrt2(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
-                   Fraction(rng.randint(-99, 99), rng.randint(1, 99)))
-        assert parse_qsqrt2(qsqrt2_str(x)) == x
+    for i in range(400):
+        hi = 10 ** 40 if i % 2 else 99
+        x = QSqrt2(Fraction(rng.randint(-hi, hi), rng.randint(1, hi)),
+                   Fraction(rng.randint(-hi, hi), rng.randint(1, hi)))
+        # the printer reads x, y, d; the Fraction parts give the same text
+        a, b = Fraction(x.x, x.d), Fraction(x.y, x.d)
+        assert str(x) == repr(x) == "%s%s%s*sqrt2" % (a, "-" if b < 0 else "+", abs(b))
+        assert parse_qsqrt2(str(x)) == x
     assert parse_qsqrt2("sqrt2") == SQRT2
     assert parse_qsqrt2("3/2") == QSqrt2(Fraction(3, 2))
     assert parse_qsqrt2("-5") == QSqrt2(-5)
@@ -194,7 +198,8 @@ def test_canonical_string_round_trip():
                  "sqrt2+1", "", "inf", "nan"):
         with pytest.raises(ValueError, match="n/d"):
             parse_qsqrt2(text)
-    assert qsqrt2_str(QSqrt2(1, Fraction(-3, 2))) == "1-3/2*sqrt2"
+    assert str(QSqrt2(1, Fraction(-3, 2))) == "1-3/2*sqrt2"
+    assert str(SQRT2) == "0+1*sqrt2" and str(QSqrt2(Fraction(-3, 2))) == "-3/2+0*sqrt2"
 
 
 class FractionPair:

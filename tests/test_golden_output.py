@@ -11,6 +11,12 @@ import pytest
 
 from bicolored.cli import main
 
+# a 249-character base literal, near the CLI's 256-character cap
+LONG_SURD = ("123456789012345678901234567890123456789012345678901234567891"
+             "/987654321098765432109876543210987654321098765432109876543217"
+             "-314159265358979323846264338327950288419716939937510582097494"
+             "/271828182845904523536028747135266249775724709369995957496697*sqrt2")
+
 GOLDEN = [
     (["count", "6", "7"],
      "ccbe8c9053d5f1dacebe8736594571bbffce76fa7a24fcfe6767bedf4137d588"),
@@ -84,10 +90,24 @@ GOLDEN = [
      "08a54b29e957f94315879f28faf38db7bb667a94de960e0569f3c2a6079bd637"),
     (["char", "twisted", "--", "1", "sqrt2", "1", "-sqrt2"],
      "c35e2108cdc5c4f4f73c746bccf6464dbd6300e80c1a00bdaf17aa7962d76585"),
+    # taken before `char avg` joined the twisted-sum kernel and the printer moved to
+    # x, y, d: p = 0, a negative base, the longest base, and the count oracle lines
+    (["char", "avg", "0", "2"],
+     "974e57b002462ee465466a761ea7c8615426dc78fec07a984074aaa909338980"),
+    (["char", "avg", "--format", "json", "--", "64", "-3/2"],
+     "14933179ea95c1d8795ebd3cc69abd4f10297134fc4ddf1abe00e13e66b56ee3"),
+    (["char", "avg", "64", LONG_SURD],
+     "883db8b285685a5f43105d37046f23e31448ccc9d1f090fb1d9e4446a897482d"),
+    (["count", "3", "3", "--oracle", "naive"],
+     "63e89fbdb54150a72b418f7916ed0dd54ed1acd18facaf627af959dfedadf9cd"),
+    (["count", "4", "4", "--oracle", "naive", "--format", "csv"],
+     "f1b6d75545f3dd2d6c47e0ffd75a75728b55bfad9c6adaea53b2879f3de6e800"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[" ".join("LONG_SURD" if x == LONG_SURD else x for x in a)
+                              for a, _ in GOLDEN])
 def test_golden_stdout(capsys, argv, digest):
     code = main(list(argv))
     out = capsys.readouterr().out
