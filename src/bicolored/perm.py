@@ -118,19 +118,32 @@ def total_cycles(t):
 
 
 def partitions(n):
-    """All partitions of n as CycleType values, reverse-lexicographic part order."""
-    def gen(m, largest):
-        if m == 0:
-            yield ()
-            return
-        for first in range(min(m, largest), 0, -1):
-            for rest in gen(m - first, first):
-                yield (first,) + rest
+    """All partitions of n as CycleType values, reverse-lexicographic part order.
 
-    for parts in gen(n, n if n else 1):
-        counts = {}
-        for r in parts:
-            counts[r] = counts.get(r, 0) + 1
+    Iterative, in multiplicity form: counts maps each part to its multiplicity, and
+    its keys, listed in decreasing order in `parts`, are the distinct parts. Each step
+    takes one copy of the smallest part i > 1, joins it to the 1s and refills that
+    amount greedily with parts i - 1 and one remainder.
+    """
+    counts = {n: 1} if n else {}
+    parts = [n] if n else []
+    yield CycleType(n, counts)
+    while parts and parts[0] > 1:
+        spare = 0
+        if parts[-1] == 1:
+            parts.pop()
+            spare = counts.pop(1)
+        i = parts[-1]
+        counts[i] -= 1
+        if not counts[i]:
+            del counts[i]
+            parts.pop()
+        j, spare = i - 1, spare + i
+        counts[j], rest = divmod(spare, j)
+        parts.append(j)
+        if rest:
+            counts[rest] = 1
+            parts.append(rest)
         yield CycleType(n, counts)
 
 

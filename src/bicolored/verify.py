@@ -1,6 +1,8 @@
 """Property suites behind the verify subcommand: every check prints pass or fail."""
 
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -33,18 +35,42 @@ EXPECTED_FLAGGED_H = {0: {1, 2, 3, 4}, 1: {1, 2}, 2: {1}, 3: set()}
 
 
 def _fixed_subsets(a, b):
-    """Count subsets of the p x q grid fixed by the pair (a, b), by brute force."""
+    """Count subsets of the p x q grid fixed by the pair (a, b), by brute force.
+
+    image[mask] is built for all 2^(pq) masks by doubling over the cells: the cell
+    k = r q + c (counted from 0) goes to bit_k = 2^((a(r+1) - 1) q + b(c+1) - 1), so
+    image[m + 2^k] = image[m] | bit_k for m < 2^k. The masks with image[m] == m count.
+    """
     p, q = a.n, b.n
-    fixed = 0
-    for mask in range(1 << (p * q)):
-        image = 0
-        for r in range(p):
-            for c in range(q):
-                if mask >> (r * q + c) & 1:
-                    image |= 1 << ((a(r + 1) - 1) * q + (b(c + 1) - 1))
-        if image == mask:
-            fixed += 1
-    return fixed
+    image = [0]
+    for r in range(p):
+        for c in range(q):
+            bit = 1 << ((a(r + 1) - 1) * q + (b(c + 1) - 1))
+            image += [x | bit for x in image]
+    return sum(map(operator.eq, image, range(len(image))))
+
+
+def _conjugation_invariant(n, f):
+    """Whether f(pi s pi^-1) = f(s) for all pi, s in S_n, with f taken once per permutation.
+
+    The n! image tuples are packed into one byte string, n bytes each. For one pi,
+    the conjugates of all of them take two C-level steps, as
+    (pi s pi^-1)(i) = pi(s(pi^-1(i))): translate every image j to pi(j), then put
+    column pi^-1(i) in place i.
+    """
+    perms = list(itertools.permutations(range(1, n + 1)))
+    value = {bytes(s): f(Permutation(s)) for s in perms}
+    want = list(value.values())
+    packed = b"".join(value)
+    cells = [slice(k * n, k * n + n) for k in range(len(perms))]
+    conj = bytearray(len(packed))
+    for pi in perms:
+        moved = packed.translate(bytes((0,) + pi).ljust(256, b"\0"))
+        for i in range(n):
+            conj[i::n] = moved[pi.index(i + 1)::n]
+        if list(map(value.__getitem__, map(bytes(conj).__getitem__, cells))) != want:
+            return False
+    return True
 
 
 def _random_perm_on(rng, n, support):
@@ -106,35 +132,29 @@ def suite_characters(rng):
     ok = True
     detail = ""
     for n in range(2, 7):
-        perms = list(all_permutations(n))
-        moved = [s.moved() for s in perms]
-        ncyc = [total_cycles(cycle_type(s)) for s in perms]
+        perms = list(itertools.permutations(range(1, n + 1)))
+        ncyc = {s: total_cycles(cycle_type(Permutation(s))) for s in perms}
+        moved = [sum(1 << i for i in range(n) if s[i] != i + 1) for s in perms]
+        # the disjoint partners of s1: the permutations moving only points s1 fixes
+        partners = {m: [s for s, m2 in zip(perms, moved) if not m & m2] for m in set(moved)}
         tables = [[z ** e for e in range(2 * n + 1)] for z in FIVE_BASES]
-        for i, s1 in enumerate(perms):
-            for j, s2 in enumerate(perms):
-                if not moved[i].isdisjoint(moved[j]):
-                    continue
-                c12 = total_cycles(cycle_type(compose(s1, s2)))
-                e12 = n - c12
-                e1, e2 = n - ncyc[i], n - ncyc[j]
-                for table in tables:
-                    if table[e12] != table[e1] * table[e2]:
-                        ok = False
-                        detail = "at n=%d, %r, %r" % (n, s1, s2)
+        verdicts = {}
+        for s1, m in zip(perms, moved):
+            look = ((0,) + s1).__getitem__
+            e1 = n - ncyc[s1]
+            for s2 in partners[m]:
+                e2, e12 = n - ncyc[s2], n - ncyc[tuple(map(look, s2))]
+                good = verdicts.get((e1, e2, e12))
+                if good is None:
+                    good = verdicts[e1, e2, e12] = all(table[e12] == table[e1] * table[e2]
+                                                       for table in tables)
+                if not good:
+                    ok = False
+                    detail = "at n=%d, %r, %r" % (n, Permutation(s1), Permutation(s2))
     checks.append(("disjoint multiplicativity, exhaustive p <= 6, five bases", ok, detail))
 
-    ok = True
-    for n in range(1, 7):
-        perms = list(all_permutations(n))
-        cycles = {s.images: total_cycles(cycle_type(s)) for s in perms}
-        for pi in perms:
-            pimg = pi.images
-            pinv = pi.inverse().images
-            for s in perms:
-                simg = s.images
-                conj = tuple(pimg[simg[pinv[i] - 1] - 1] for i in range(n))
-                if cycles[conj] != cycles[simg]:
-                    ok = False
+    ok = all(_conjugation_invariant(n, lambda s: total_cycles(cycle_type(s)))
+             for n in range(1, 7))
     checks.append(("class function: c(pi s pi^-1) = c(s), exhaustive p <= 6", ok, ""))
 
     ok = all(char_eval(CyclicCharacter(n, z), Permutation.identity(n)) == 1
@@ -176,19 +196,13 @@ def suite_characters(rng):
 def suite_cycleform(rng):
     checks = []
 
-    ok = len(list(partitions(4))) == 5 and len(list(partitions(10))) == 42
+    types = [list(partitions(n)) for n in range(13)]   # read by every class-pair check
+    ok = len(types[4]) == 5 and len(types[10]) == 42
     for n in range(13):
-        ok = ok and sum(class_size(t) for t in partitions(n)) == math.factorial(n)
+        ok = ok and sum(class_size(t) for t in types[n]) == math.factorial(n)
     checks.append(("partition stream and class sizes sum to n!, n <= 12", ok, ""))
 
-    ok = True
-    for n in range(1, 6):
-        perms = list(all_permutations(n))
-        for s in perms:
-            t = cycle_type(s)
-            for pi in perms:
-                if cycle_type(compose(compose(pi, s), pi.inverse())) != t:
-                    ok = False
+    ok = all(_conjugation_invariant(n, cycle_type) for n in range(1, 6))
     checks.append(("cycle type is conjugation invariant, exhaustive n <= 5", ok, ""))
 
     ok = True
@@ -207,8 +221,8 @@ def suite_cycleform(rng):
     ok = True
     for p in range(1, 7):
         for q in range(1, 7):
-            for ta in partitions(p):
-                for tb in partitions(q):
+            for ta in types[p]:
+                for tb in types[q]:
                     ok = ok and cycle_form(ta, tb) == cycle_form(tb, ta)
     checks.append(("cycle form symmetry under swapping slots, p,q <= 6", ok, ""))
 
@@ -246,8 +260,8 @@ def suite_cycleform(rng):
     ok = True
     for p in range(1, 10):
         for q in range(1, 10):
-            for ta in partitions(p):
-                for tb in partitions(q):
+            for ta in types[p]:
+                for tb in types[q]:
                     if cycle_form_via_decomposition(ta, tb) != cycle_form(ta, tb):
                         ok = False
     checks.append(("decomposition evaluator equals the form, all class pairs p,q <= 9", ok, ""))
@@ -257,7 +271,7 @@ def suite_cycleform(rng):
         for p in range(ell, 10):
             gamma = cycle_type(make_cycle(p, ell))
             for q in range(1, 9):
-                for tb in partitions(q):
+                for tb in types[q]:
                     if cycle_form(gamma, tb) != bracket_prime_cycle(ell, p, tb):
                         ok = False
     checks.append(("prime-cycle bracket identity, ell in {2,3,5,7}, q <= 8", ok, ""))
@@ -266,14 +280,14 @@ def suite_cycleform(rng):
     for ell in range(1, 8):
         for p in (ell, ell + 2):
             for q in range(1, 10):
-                for tb in partitions(q):
+                for tb in types[q]:
                     if bound_1a_gap(ell, p, tb) < 0:
                         ok = False
     checks.append(("cycle-removal gap nonnegative, ell <= 7, q <= 9", ok, ""))
 
     ok = True
     for p in range(1, 13):
-        for ta in partitions(p):
+        for ta in types[p]:
             if bound_5_gap(ta) < 0:
                 ok = False
     checks.append(("harmonic cycle-count gap nonnegative, all types p <= 12", ok, ""))

@@ -51,6 +51,40 @@ def test_avg_char_matches_naive():
             assert avg_char(chi) == avg_char_naive(chi)
 
 
+def avg_char_per_permutation(chi):
+    """The literal average one permutation at a time, as avg_char_naive summed it before
+    it tallied the permutations by cycle count."""
+    total = QSqrt2(0)
+    for sigma in all_permutations(chi.degree):
+        total = total + char_eval(chi, sigma)
+    return total / math.factorial(chi.degree)
+
+
+def twisted_product_per_pair(p, z, q, zprime):
+    """((chi, chi')) one permutation pair at a time, as twisted_product_naive summed it
+    before it tallied both sides by cycle count."""
+    zi, zpi = QSqrt2._coerce(z).inverse(), QSqrt2._coerce(zprime).inverse()
+    cycles_q = [count_cycles_by_walking(s.images) for s in all_permutations(q)]
+    total = QSqrt2(0)
+    for sa in all_permutations(p):
+        ca = count_cycles_by_walking(sa.images)
+        for cb in cycles_q:
+            total = total + zi ** (ca * cb) * zpi ** ca
+    return total / (math.factorial(p) * math.factorial(q))
+
+
+def test_tallied_oracles_match_per_permutation_sums():
+    for p in range(0, 6):
+        for z in BASES:
+            chi = CyclicCharacter(p, z)
+            assert avg_char_naive(chi) == avg_char_per_permutation(chi), (p, z)
+    for p in range(1, 6):
+        for q in range(1, 6):
+            for z, zp in [(Fraction(1, 2), SQRT2), (QSqrt2(Fraction(-1, 3)), Fraction(3, 2))]:
+                assert twisted_product_naive(p, z, q, zp) == \
+                    twisted_product_per_pair(p, z, q, zp), (p, q)
+
+
 def test_avg_char_matches_rising_factorial_formula():
     # the formula avg_char used before it joined _twisted_sum, z^p (1/z)^(p rising) / p!,
     # with z^p, the rising factorial and p! each built up one factor per p

@@ -102,6 +102,12 @@ GOLDEN = [
      "63e89fbdb54150a72b418f7916ed0dd54ed1acd18facaf627af959dfedadf9cd"),
     (["count", "4", "4", "--oracle", "naive", "--format", "csv"],
      "f1b6d75545f3dd2d6c47e0ffd75a75728b55bfad9c6adaea53b2879f3de6e800"),
+    # taken before the verify checks moved to image tuples, the doubling mask table and
+    # tallied naive oracles: one suite alone, and every suite at another seed
+    (["verify", "--suite", "characters", "--seed", "0"],
+     "e5ed2bbb2c0409a2f2c45bd9ca1f0e4248f7e77f8704807fe0995bae81605a56"),
+    (["verify", "--seed", "5"],
+     "95058648bfb0c95e4e4debc90092a5ac68cdc8061851d8b2ee4f18a3874b253c"),
 ]
 
 

@@ -57,6 +57,29 @@ def test_partitions_reverse_lex_order():
     assert len(set(seq)) == len(seq)
 
 
+def partitions_recursive(n):
+    """Partitions of n as part tuples, reverse-lexicographic, by nested generators, as
+    partitions produced them before it moved to multiplicity form."""
+    def gen(m, largest):
+        if m == 0:
+            yield ()
+            return
+        for first in range(min(m, largest), 0, -1):
+            for rest in gen(m - first, first):
+                yield (first,) + rest
+    return gen(n, n if n else 1)
+
+
+def test_partitions_match_recursive_stream():
+    for n in range(26):
+        want = [CycleType(n, {r: parts.count(r) for r in parts})
+                for parts in partitions_recursive(n)]
+        got = list(partitions(n))
+        assert got == want, n
+        # the counts list parts from the largest down, as the recursive stream built them
+        assert all(list(t.counts) == sorted(t.counts, reverse=True) for t in got), n
+
+
 def test_class_sizes():
     assert class_size(CycleType(5, {1: 5})) == 1
     assert class_size(CycleType(3, {2: 1, 1: 1})) == 3

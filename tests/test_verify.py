@@ -1,7 +1,15 @@
 """The verify suites themselves: labels, determinism, and failure reporting."""
 
-from bicolored import exact
-from bicolored.verify import EXPECTED_FLAGGED_H, GOLDEN_CELLS, SUITES, run_suites
+import time
+
+from bicolored import exact, verify
+from bicolored.perm import CycleType, Permutation, all_permutations, cycle_type
+from bicolored.verify import (EXPECTED_FLAGGED_H, GOLDEN_CELLS, SUITES, _fixed_subsets,
+                              run_suites)
+
+FIXED_SUBSETS = "2^<a,b> counts the subsets fixed by (a,b), exhaustive p,q <= 3"
+CONJUGATION = ["class function: c(pi s pi^-1) = c(s), exhaustive p <= 6",
+               "cycle type is conjugation invariant, exhaustive n <= 5"]
 
 
 def collect(names, seed=0):
@@ -35,3 +43,76 @@ def test_failure_reporting(monkeypatch):
     ok, lines = collect(["characters"])
     assert not ok
     assert any(line.startswith("FAIL") for line in lines)
+
+
+def line_for(lines, label):
+    [line] = [line for line in lines if line.split(": ", 1)[1].startswith(label)]
+    return line
+
+
+def fixed_subsets_per_bit(a, b):
+    """Fixed subsets of the p x q grid, one mask and one cell at a time, as
+    _fixed_subsets counted them before it built the image table by doubling."""
+    p, q = a.n, b.n
+    fixed = 0
+    for mask in range(1 << (p * q)):
+        image = 0
+        for r in range(p):
+            for c in range(q):
+                if mask >> (r * q + c) & 1:
+                    image |= 1 << ((a(r + 1) - 1) * q + (b(c + 1) - 1))
+        if image == mask:
+            fixed += 1
+    return fixed
+
+
+def test_fixed_subsets_matches_per_bit_count():
+    pairs = [(a, b) for p in range(1, 4) for q in range(1, 4)
+             for a in all_permutations(p) for b in all_permutations(q)]
+    pairs.append((Permutation([2, 3, 4, 1]), Permutation([3, 1, 2])))
+    for a, b in pairs:
+        assert _fixed_subsets(a, b) == fixed_subsets_per_bit(a, b), (a, b)
+
+
+def test_fixed_subsets_check_fails_on_a_wrong_form(monkeypatch):
+    form = verify.cycle_form
+    monkeypatch.setattr(verify, "cycle_form", lambda a, b: form(a, b) + 1)
+    ok, lines = collect(["cycleform"])
+    assert not ok
+    assert line_for(lines, FIXED_SUBSETS).startswith("FAIL")
+
+
+def test_conjugation_checks_fail_on_a_non_class_function(monkeypatch):
+    # the identity's type for every permutation fixing 1: (2 3) and (1 2) then differ
+    def skewed(sigma):
+        if sigma.n >= 2 and sigma(1) == 1:
+            return CycleType(sigma.n, {1: sigma.n})
+        return cycle_type(sigma)
+
+    monkeypatch.setattr(verify, "cycle_type", skewed)
+    lines = collect(["characters"])[1] + collect(["cycleform"])[1]
+    for label in CONJUGATION:
+        assert line_for(lines, label).startswith("FAIL")
+    # (1 2) and (3 4) are disjoint, but only (1 2) keeps its type
+    line = line_for(lines, "disjoint multiplicativity")
+    assert line.startswith("FAIL") and "  [at n=" in line
+
+
+def test_conjugation_invariant_on_small_groups():
+    assert verify._conjugation_invariant(4, cycle_type)
+    assert not verify._conjugation_invariant(3, lambda s: s(1))
+    assert not verify._conjugation_invariant(3, lambda s: s.images)
+    # S_2 is abelian, so every function on it is a class function
+    assert verify._conjugation_invariant(2, lambda s: s.images)
+    assert all(verify._conjugation_invariant(n, lambda s: 0) for n in range(5))
+
+
+def test_all_suites_run_in_time():
+    # all suites take about 0.75 s on a 2-vCPU Xeon (2.3 s before the brute-force
+    # checks over S_n moved to C-level loops); the generous limit leaves room for a
+    # shared host's swings and fails when the suites' cost grows tenfold, as a brute
+    # force widened to the next n would make it
+    start = time.monotonic()
+    ok, lines = collect(list(SUITES))
+    assert ok and len(lines) == 44
+    assert time.monotonic() - start < 8.0
