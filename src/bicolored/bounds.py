@@ -2,9 +2,8 @@
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
 from .characters import _twisted_sum
@@ -13,22 +12,10 @@ from .exact import QSqrt2, decimal_render, pow2
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    p: int
-    q: int
-    theorem_bound: QSqrt2
-    ao_lower: Fraction
-    ao_upper: Fraction
-    exact: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class HRow:
-    h: int
-    argmax_p: int
-    max_log2: float
-    at_first: bool  # whether the maximum sits at p = h+1
+BoundReport = namedtuple("BoundReport", "p q theorem_bound ao_lower ao_upper exact",
+                         defaults=(None,))
+# at_first: whether the maximum sits at p = h+1
+HRow = namedtuple("HRow", "h argmax_p max_log2 at_first")
 
 
 def theorem_bound(p, q):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .perm import CycleType, Permutation, compose, cycle_type, total_cycles
 
@@ -80,8 +81,9 @@ def cycle_form_bilinear(x, y):
     return total
 
 
+@lru_cache(maxsize=1024)
 def _gamma_type(p, length):
-    """Cycle type of an length-cycle in the symmetric group on p points."""
+    """Cycle type of a length-cycle in S_p; cached, so callers must not mutate it."""
     counts = {length: 1}
     if p > length:
         counts[1] = counts.get(1, 0) + (p - length)

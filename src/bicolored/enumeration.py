@@ -1,8 +1,7 @@
 """Exact |B_u(p,q)| by Polya's cycle-index form, brute-force oracles, and the orbit census."""
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, filterfalse, repeat
@@ -21,13 +20,7 @@ class CapExceeded(Exception):
     """A requested computation is beyond the configured resource cap."""
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
-    p: int
-    q: int
-    orbit_count: int
-    free_element_count: int
-    total: int
+OrbitCensus = namedtuple("OrbitCensus", "p q orbit_count free_element_count total")
 
 
 def _partition_count(n):

@@ -1,16 +1,17 @@
 """Theorem bound, competing bounds, table cells, and asymptotic scans."""
 
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 
 from bicolored import exact
-from bicolored.bounds import (_a_log2, a_log2_closed_form, ao_bounds, bound_report,
-                              growth_ratio, h_constant, ratio_table, tail_ratio,
+from bicolored.bounds import (BoundReport, HRow, _a_log2, a_log2_closed_form, ao_bounds,
+                              bound_report, growth_ratio, h_constant, ratio_table, tail_ratio,
                               theorem_bound, verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
-from bicolored.enumeration import DEGREE_CAP, CapExceeded, count_exact
+from bicolored.enumeration import DEGREE_CAP, CapExceeded, OrbitCensus, count_exact, orbit_census
 from bicolored.exact import QSqrt2, parse_qsqrt2, pow2, rising_factorial
 
 
@@ -210,3 +211,36 @@ def test_tail_ratio_limit():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         tail_ratio(0, 0)
+
+
+RECORDS = [
+    (OrbitCensus, ["p", "q", "orbit_count", "free_element_count", "total"], {}),
+    (BoundReport, ["p", "q", "theorem_bound", "ao_lower", "ao_upper", "exact"], {"exact": None}),
+    (HRow, ["h", "argmax_p", "max_log2", "at_first"], {}),
+]
+
+
+@pytest.mark.parametrize("cls, names, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_fields_and_defaults(cls, names, defaults):
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == names
+    assert {n: p.default for n, p in parameters.items()
+            if p.default is not inspect.Parameter.empty} == defaults
+
+
+def test_records_are_frozen_values():
+    census = orbit_census(2, 2)
+    report = bound_report(2, 2)
+    row = HRow(1, 2, 0.5, True)
+    assert BoundReport(2, 2, QSqrt2(8), Fraction(5), Fraction(10)).exact is None
+    assert census == OrbitCensus(p=2, q=2, orbit_count=7, free_element_count=8, total=16)
+    assert census != OrbitCensus(2, 2, 7, 8, 17)
+    assert report == BoundReport(2, 2, QSqrt2(8), Fraction(5), Fraction(10), 7)
+    assert row == HRow(1, 2, 0.5, True) and row != HRow(1, 2, 0.5, False)
+    for record, name in ((census, "total"), (report, "exact"), (row, "at_first")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert repr(census) == "OrbitCensus(p=2, q=2, orbit_count=7, free_element_count=8, total=16)"
+    assert repr(report) == ("BoundReport(p=2, q=2, theorem_bound=8+0*sqrt2,"
+                            " ao_lower=Fraction(5, 1), ao_upper=Fraction(10, 1), exact=7)")
+    assert repr(row) == "HRow(h=1, argmax_p=2, max_log2=0.5, at_first=True)"

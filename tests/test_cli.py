@@ -1,5 +1,6 @@
 """End-to-end checks of the bicolored command line."""
 
+import hashlib
 import io
 import json
 import math
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from bicolored import exact
-from bicolored.cli import main
+from bicolored import exact, verify
+from bicolored.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -330,3 +331,49 @@ def test_verify_negative_control(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "characters", "--seed", "0")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_cli_import_loads_only_what_every_subcommand_needs():
+    # modules a site may preload do not count: only those `import bicolored.cli` adds
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; before = set(sys.modules); import bicolored.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "bicolored.cli" in loaded
+    assert not loaded & {"bicolored.verify", "dataclasses", "inspect", "json", "csv"}
+
+
+def test_verify_suite_choices_follow_the_registry(capsys):
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    (suite,) = [a for a in subparsers.choices["verify"]._actions if a.dest == "suite"]
+    assert suite.choices == ["all"] + sorted(verify.SUITES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+
+
+# the SHA-256 of `--help` at 80 columns; argparse's layout differs between Python
+# versions, so these were taken on 3.11
+HELP = [
+    ([], "e022caf00be732c6bcb93e79dee2aff90e6fa4508fab2791aa49660e1816510c"),
+    (["count"], "3d45b4dddb88136481d77af2cc89ae38d1b3ef6bef2216ba0f6679a5b891d9f1"),
+    (["bound"], "1e5742e3eae703992204640b205d8c3b6c5d507dc41eb4f906cf84528f270eaf"),
+    (["table"], "ae4db5d76074ca25032f703d0c4e02baff333814b4e773f55d427604c8e56a96"),
+    (["orbits"], "9c729cd41d728e35347bcda0deb57f48abc512623f9fbb0d4d22addcf19dd117"),
+    (["char"], "59682c6d37b07c1cd5884af58f8f72ba2dabfed03cba2a6154da39d8025c3877"),
+    (["verify"], "9824c132bc23e828ba8ead16a9973bb6b5df7047ec814d5a69d894502beb5753"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help digests taken on Python 3.11")
+@pytest.mark.parametrize("argv, digest", HELP, ids=[" ".join(a) or "top" for a, _ in HELP])
+def test_help_text(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
