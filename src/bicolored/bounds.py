@@ -21,10 +21,11 @@ HRow = namedtuple("HRow", "h argmax_p max_log2 at_first")
 def theorem_bound(p, q):
     """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2).
 
-    Summed over the cycle count l of S_q, the bound is
-    sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q) / (p! q!), an element of Z[sqrt2] over
-    p! q!; the twisted product's kernel computes it from the Stirling row of q. Raises
-    CapExceeded for q > DEGREE_CAP, which bounds the Stirling rows built, or for
+    An element of Z[sqrt2] over p! q!, which the twisted product's kernel sums over the
+    cycle count of the smaller side: for p <= q it is
+    sum_k c(p,k) sqrt2^(q(p-k)) prod_{j<q} (2^k + j) / (p! q!), each product one
+    math.prod of integers, and otherwise sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q) / (p! q!).
+    Raises CapExceeded for q > DEGREE_CAP, which bounds the Stirling rows built, or for
     p*q > DEGREE_CAP^2, which bounds the size of its integers.
     """
     if p < 1 or q < 1:

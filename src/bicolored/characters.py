@@ -9,8 +9,10 @@ from .exact import QSqrt2, stirling_first
 from .perm import cycle_type, total_cycles
 
 # twisted_refusal's work model: `char twisted 64 3/2 64 sqrt2` is 3.5e11 steps, and
-# shapes at the budget take 0.06 to 0.4 s on a 2-vCPU Xeon
+# shapes at the budget take 0.04 to 0.13 s on a 2-vCPU Xeon
 TWISTED_BUDGET = 10 ** 13
+
+_ONE = QSqrt2(1)
 
 
 class CyclicCharacter:
@@ -109,8 +111,11 @@ def twisted_refusal(p, z, q, zprime):
     The caps are p, q <= DEGREE_CAP and the work model
     p^3 (q^3 a^2 + 16 (q a + b)^2) <= TWISTED_BUDGET, with a and b the bits of 1/z and
     1/z'. The model was fitted, within a factor of 3, to an earlier loop in which every
-    ring operation ended in a gcd, quadratic in its operands. _twisted_sum reduces once,
-    so the model now over-prices; it is kept because tests pin its refusals.
+    ring operation ended in a gcd, quadratic in its operands, and where shapes at the
+    budget took 2.4 to 4.5 s. _twisted_sum reduces once and walks the smaller side's
+    Stirling row, so the model now over-prices: those shapes take 0.04 to 0.13 s and the
+    refused (32, z, 32, z) with a 64-character z 0.1 to 0.15 s. It is kept because tests
+    pin its refusals.
     """
     if max(p, q) > DEGREE_CAP:
         return "twisted_product needs p, q <= %d" % DEGREE_CAP
@@ -122,28 +127,48 @@ def twisted_refusal(p, z, q, zprime):
     return None
 
 
-def _twisted_sum(p, z, q, zprime):
-    """sum_l c(q,l) (w^l w')^(p rising) / (p! q!) with w = 1/z and w' = 1/z', uncapped.
+def _rising(x, y, step, n, ra, rb):
+    """(ra + rb sqrt2) prod_{j<n} (x + j step + y sqrt2), as the integer pair of A + B sqrt2."""
+    factors = range(x, x + n * step, step)
+    if not y:
+        r = math.prod(factors)
+        return ra * r, rb * r
+    y2 = 2 * y
+    for c in factors:
+        ra, rb = ra * c + rb * y2, ra * y + rb * c
+    return ra, rb
 
-    With w = (u + v sqrt2)/d and w' = (u' + v' sqrt2)/d', every w^l w' is (x + y sqrt2)/m
-    over the one denominator m = d^q d', so the sum is (A + B sqrt2)/(m^p p! q!) in plain
-    integers, reduced once. It walks the Stirling row of q.
+
+def _twisted_sum(p, z, q, zprime):
+    """((chi_z, chi_z')) = sum_{k,l} c(p,k) c(q,l) w'^k w^(kl) / (p! q!), uncapped.
+
+    With w = 1/z and w' = 1/z', the identity sum_l c(m,l) X^l = X^(m rising) sums out
+    the larger side: the product is sum_k c(n,k) a^k (w^k b)^(m rising) / (n! m!) with
+    (n, a, m, b) = (p, w', q, 1) when p <= q and (q, 1, p, w') otherwise, so only the
+    Stirling row of n = min(p, q) is read. Writing w = (u + v sqrt2)/d and
+    w^k b = (x + y sqrt2)/t, the rising factorial is prod_{j<m} (x + j t + y sqrt2) / t^m,
+    one math.prod when y = 0. Term k then lies over s^k d_b^m with s = d^m d_a, so Horner
+    steps A <- A s + c(n,k) N_k, N_k the numerator of a^k times that product, keep the
+    sum as (A + B sqrt2)/(s^n d_b^m n! m!) in plain integers, reduced once.
     """
     w, wp = QSqrt2._coerce(z).inverse(), QSqrt2._coerce(zprime).inverse()
+    n, a, m, b = (p, wp, q, _ONE) if p <= q else (q, _ONE, p, wp)
     u, v, d = w.x, w.y, w.d
-    m = d ** q * wp.d
-    x, y = wp.x * d ** q, wp.y * d ** q   # x + y sqrt2 = m w^l w', from l = 0
+    ua, va = a.x, a.y
+    s = d ** m * a.d
+    ax, ay = 1, 0              # a^k d_a^k
+    x, y, t = b.x, b.y, b.d    # w^k b = (x + y sqrt2)/t
     big_a = big_b = 0
-    for l in range(1, q + 1):
-        # exact: x and y are multiples of d^(q-l+1)
-        x, y = (x * u + 2 * y * v) // d, (x * v + y * u) // d
-        ra, rb = 1, 0   # prod_{i<p} (x + i m + y sqrt2)
-        for c in range(x, x + p * m, m):
-            ra, rb = ra * c + 2 * rb * y, ra * y + rb * c
-        s = stirling_first(q, l)
-        big_a += s * ra
-        big_b += s * rb
-    return QSqrt2(big_a, big_b, m ** p * math.factorial(p) * math.factorial(q))
+    for k in range(n + 1):
+        # c(n,0) = 0 for n >= 1, met while A = 0, so skipping A s there is exact
+        c = stirling_first(n, k)
+        if c:
+            ra, rb = _rising(x, y, t, m, ax, ay)
+            big_a = big_a * s + c * ra
+            big_b = big_b * s + c * rb
+        ax, ay = ax * ua + 2 * ay * va, ax * va + ay * ua
+        x, y, t = x * u + 2 * y * v, x * v + y * u, t * d
+    return QSqrt2(big_a, big_b, s ** n * b.d ** m * math.factorial(n) * math.factorial(m))
 
 
 def twisted_product(p, z, q, zprime):

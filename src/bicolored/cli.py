@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -222,6 +223,9 @@ def build_parser():
     s.add_argument("z", help="base: sqrt2, an integer, n/d, or a+b*sqrt2")
     s.add_argument("q", type=int, nargs="?")
     s.add_argument("zprime", nargs="?")
+    # a word starting with a digit or spelling sqrt2 after its "-" is a negative base,
+    # not an option: argparse's own matcher takes only -N and -N.N
+    s._negative_number_matcher = re.compile(r"^-(?:\d|sqrt2$)")
     s.set_defaults(func=cmd_char)
 
     s = sub.add_parser("verify", help="run the property suites")

@@ -25,8 +25,8 @@ def test_theorem_bound_small_values():
 def twisted_k_loop(p, z, q, zprime):
     """((chi_z, chi_z')) = sum_k c(p,k) z'^(-k) (z^(-k))^(q rising) / (p! q!), uncapped.
 
-    The oracle for shapes too large for the naive sum: it walks the Stirling row of p,
-    not q, and reduces every term in Q(sqrt 2).
+    The oracle for shapes too large for the naive sum: it walks the Stirling row of p
+    whatever the shape, and reduces every term in Q(sqrt 2).
     """
     zi = QSqrt2._coerce(z).inverse()
     zpi = QSqrt2._coerce(zprime).inverse()
@@ -56,9 +56,15 @@ def test_theorem_bound_matches_twisted_product():
 
 
 def test_twisted_product_matches_k_loop():
-    # the largest shapes, the bound's own bases at 64 x 64, and a negative base
+    # the largest shapes, the bound's own bases at 64 x 64, and a negative base; then
+    # shapes on both sides of the kernel's p <= q choice: a rising factorial through 0,
+    # w^k alternating between rational and surd, a long surd base, the degree 1 edges
     for p, z, q, zp in [(64, "3/2", 64, "sqrt2"), (64, "1/2", 64, str(2 ** 32)),
-                        (20, "sqrt2", 14, "3/2"), (7, "-3/2", 9, "1-1*sqrt2")]:
+                        (20, "sqrt2", 14, "3/2"), (7, "-3/2", 9, "1-1*sqrt2"),
+                        (5, "-1/2", 9, "3/2"), (9, "-1/2", 5, "sqrt2"),
+                        (12, "sqrt2", 12, "-sqrt2"), (8, "%d+1*sqrt2" % 2 ** 60, 64, "3/2"),
+                        (64, "-3/2", 3, "1-1*sqrt2"), (1, "2", 64, "sqrt2"),
+                        (64, "2", 1, "sqrt2")]:
         z, zp = parse_qsqrt2(z), parse_qsqrt2(zp)
         assert twisted_product(p, z, q, zp) == twisted_k_loop(p, z, q, zp), (p, z, q, zp)
 
@@ -82,6 +88,10 @@ def test_theorem_bound_builds_stirling_rows_of_q(monkeypatch):
     monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
     theorem_bound(4096, 1)
     assert max(exact._stirling_rows) <= DEGREE_CAP
+    # the kernel walks the smaller side's row: none above min(p, q) is built
+    monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
+    theorem_bound(3, 64)
+    assert max(exact._stirling_rows) == 3
 
 
 def test_theorem_bound_not_symmetric():

@@ -204,6 +204,25 @@ def test_char_twisted(capsys):
         main(["char", "twisted", "2", "1/2"])
 
 
+def test_char_negative_bases_parse_as_bases(capsys):
+    # the base literals README lists read the same with or without "--" before them,
+    # and --format is still taken before or after them
+    for argv in (["avg", "3", "-3/2"], ["avg", "3", "-sqrt2"],
+                 ["twisted", "2", "-3/2", "2", "-1+1*sqrt2"]):
+        code, out, err = run_cli(capsys, "char", *argv)
+        assert code == 0 and err == "", argv
+        assert run_cli(capsys, "char", *argv[:2], "--", *argv[2:]) == (0, out, ""), argv
+        for fmt in (["--format", "json", *argv], [*argv, "--format", "json"]):
+            code, out, _ = run_cli(capsys, "char", *fmt)
+            assert code == 0 and json.loads(out)["parameters"]["z"] == argv[2], fmt
+    code, out, _ = run_cli(capsys, "char", "avg", "3", "-sqrt2")
+    assert "value = 5/6-1/2*sqrt2" in out
+    # a word that is neither a number nor sqrt2 is still read as an option
+    with pytest.raises(SystemExit) as exc:
+        main(["char", "avg", "3", "-x"])
+    assert exc.value.code == 2
+
+
 def test_error_exit_codes(capsys):
     code, out, err = run_cli(capsys, "count", "100", "3")
     assert code == 2 and "bicolored:" in err
