@@ -25,8 +25,9 @@ def theorem_bound(p, q):
     cycle count of the smaller side: for p <= q it is
     sum_k c(p,k) sqrt2^(q(p-k)) prod_{j<q} (2^k + j) / (p! q!), each product one
     math.prod of integers, and otherwise sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q) / (p! q!).
-    Raises CapExceeded for q > DEGREE_CAP, which bounds the Stirling rows built, or for
-    p*q > DEGREE_CAP^2, which bounds the size of its integers.
+    Raises CapExceeded for p*q > DEGREE_CAP^2, which bounds its integers and keeps the one
+    Stirling row read, min(p, q), within DEGREE_CAP, or for q > DEGREE_CAP, kept because
+    tests pin it: (1, 65) is refused and `bound 3 65` exits 2, while `bound 65 3` exits 0.
     """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")

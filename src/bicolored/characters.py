@@ -1,12 +1,10 @@
 """Cyclic Dirichlet characters on symmetric groups and the twisted product."""
 
-import itertools
 import math
-from collections import Counter
 
 from .enumeration import DEGREE_CAP, CapExceeded
 from .exact import QSqrt2, stirling_first
-from .perm import cycle_type, total_cycles
+from .perm import cycle_type, total_cycles, type_tally
 
 # twisted_refusal's work model: `char twisted 64 3/2 64 sqrt2` is 3.5e11 steps, and
 # shapes at the budget take 0.04 to 0.13 s on a 2-vCPU Xeon
@@ -70,32 +68,11 @@ def avg_char(chi):
     return z ** p * _twisted_sum(p, z, 1, 1)
 
 
-def _cycle_tally(n):
-    """{c: how many of the n! permutations have c cycles}, by walking every one.
-
-    A test oracle, independent of the Stirling rows: each image tuple of
-    itertools.permutations has its cycles counted by following them.
-    """
-    tally = Counter()
-    for images in itertools.permutations(range(n)):
-        seen = [False] * n
-        cycles = 0
-        for start in range(n):
-            if not seen[start]:
-                cycles += 1
-                i = start
-                while not seen[i]:
-                    seen[i] = True
-                    i = images[i]
-        tally[cycles] += 1
-    return tally
-
-
 def avg_char_naive(chi):
-    """Literal average of chi over all p! permutations, tallied by cycle count (test oracle)."""
+    """Literal average of chi over all p! permutations, tallied by cycle type (test oracle)."""
     p = chi.degree
     z = chi.base
-    total = sum((z ** (p - c) * k for c, k in _cycle_tally(p).items()), QSqrt2(0))
+    total = sum((z ** (p - len(a)) * k for a, k in type_tally(p).items()), QSqrt2(0))
     return total / math.factorial(p)
 
 
@@ -189,14 +166,14 @@ def twisted_product(p, z, q, zprime):
 
 
 def twisted_product_naive(p, z, q, zprime):
-    """((chi, chi')) summed over all permutation pairs, tallied by cycle counts (test oracle)."""
+    """((chi, chi')) summed over all permutation pairs, tallied by cycle types (test oracle)."""
     z = QSqrt2._coerce(z)
     zprime = QSqrt2._coerce(zprime)
     zi = z.inverse()
     zpi = zprime.inverse()
-    tally_q = _cycle_tally(q)
+    tally_q = type_tally(q)
     total = QSqrt2(0)
-    for ca, ka in _cycle_tally(p).items():
-        for cb, kb in tally_q.items():
-            total = total + zi ** (ca * cb) * zpi ** ca * (ka * kb)
+    for a, ka in type_tally(p).items():
+        for b, kb in tally_q.items():
+            total = total + zi ** (len(a) * len(b)) * zpi ** len(a) * (ka * kb)
     return total / (math.factorial(p) * math.factorial(q))

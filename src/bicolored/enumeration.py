@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, filterfalse, repeat
 from operator import add, lshift, mul
 
-from .perm import all_permutations, class_size, cycle_type, partitions
+from .perm import class_size, partitions, type_tally
 
 DEGREE_CAP = 64   # count_exact refuses degrees beyond this without an override
 CENSUS_CAP = 20   # orbit_census covers 2^(p q) subsets; cap on p*q
@@ -96,18 +96,17 @@ def count_exact(p, q, max_degree=DEGREE_CAP):
 
 
 def count_naive(p, q):
-    """Literal double sum over permutation pairs (test oracle, p, q <= 7)."""
+    """Burnside's sum over S_p x S_q tallied by cycle type: sum k_a k_b 2^<a,b> / (p! q!)
+    over the type_tally keys a, b, <a,b> = sum gcd(r, s) (test oracle, p, q <= 7)."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
     if max(p, q) > 7:
         raise CapExceeded("count_naive needs p, q <= 7")
-    types_p = [sorted(cycle_type(s).counts.items()) for s in all_permutations(p)]
-    types_q = [sorted(cycle_type(s).counts.items()) for s in all_permutations(q)]
+    tally_q = type_tally(q)
     total = 0
-    for ta in types_p:
-        for tb in types_q:
-            e = sum(math.gcd(r, s) * ca * cb for r, ca in ta for s, cb in tb)
-            total += 1 << e
+    for a, ka in type_tally(p).items():
+        for b, kb in tally_q.items():
+            total += ka * kb << sum(math.gcd(r, s) for r in a for s in b)
     order = math.factorial(p) * math.factorial(q)
     assert total % order == 0
     return total // order

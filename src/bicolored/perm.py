@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 
 class Permutation:
@@ -175,6 +176,28 @@ def compose(sigma, tau):
     if sigma.n != tau.n:
         raise ValueError("degree mismatch")
     return Permutation(sigma.images[j - 1] for j in tau.images)
+
+
+def type_tally(n):
+    """{sorted cycle lengths, singletons included: how many of the n! permutations have them}.
+
+    The oracle behind every naive sum over S_n: it follows the cycles of each image tuple
+    of itertools.permutations and reads no partitions, class sizes or Stirling rows.
+    """
+    tally = Counter()
+    for images in itertools.permutations(range(n)):
+        seen = [False] * n
+        lengths = []
+        for start in range(n):
+            if not seen[start]:  # start is its cycle's least point, so no later start meets it
+                i, length = images[start], 1
+                while i != start:
+                    seen[i] = True
+                    i = images[i]
+                    length += 1
+                lengths.append(length)
+        tally[tuple(sorted(lengths))] += 1
+    return tally
 
 
 def all_permutations(n):

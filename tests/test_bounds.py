@@ -84,7 +84,8 @@ def test_theorem_bound_caps():
 
 
 def test_theorem_bound_builds_stirling_rows_of_q(monkeypatch):
-    # the q cap bounds the Stirling rows built, however large p is
+    # p*q <= 4096 keeps the row of min(p, q) within 64, however large p is; the q cap
+    # stays only because tests pin its refusals
     monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
     theorem_bound(4096, 1)
     assert max(exact._stirling_rows) <= DEGREE_CAP

@@ -49,6 +49,16 @@ def test_count_with_oracles(capsys):
     assert json.loads(out)["results"]["agreement"] is True
 
 
+def test_count_naive_at_its_cap_finishes(capsys):
+    # the naive oracle's cap is 7; it added 25.4 million permutation-pair terms there
+    # and took about 29 s, and tallied by cycle type it takes about 0.2 s
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "7", "7", "--oracle", "naive")
+    assert code == 0 and err == ""
+    assert "agreement = True" in out
+    assert time.perf_counter() - start < 10.0
+
+
 def test_bound_json(capsys):
     code, out, _ = run_cli(capsys, "bound", "4", "3", "--format", "json")
     assert code == 0

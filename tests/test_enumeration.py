@@ -11,7 +11,7 @@ from bicolored.enumeration import (CENSUS_CAP, COUNT_BUDGET, CapExceeded, _count
                                    _partition_count, _row_images, count_exact, count_naive,
                                    count_refusal, free_fraction, free_fraction_lower_bound,
                                    orbit_census)
-from bicolored.perm import class_size, partitions
+from bicolored.perm import all_permutations, class_size, cycle_type, partitions, type_tally
 
 # row p = 1..8 of |B_u(p, q)| for q = 1..4, checked against direct subset orbits
 KNOWN_COUNTS = {
@@ -38,9 +38,38 @@ def test_count_edge_cases():
 
 
 def test_count_matches_naive():
-    for p in range(0, 7):
-        for q in range(0, 7):
-            assert count_exact(p, q) == count_naive(p, q)
+    for p in range(0, 8):
+        for q in range(0, 8):
+            assert count_exact(p, q) == count_naive(p, q), (p, q)
+
+
+def count_per_pair(p, q):
+    """Burnside's sum one permutation pair at a time, as count_naive summed it before it
+    tallied both sides by cycle type."""
+    types_p = [sorted(cycle_type(s).counts.items()) for s in all_permutations(p)]
+    types_q = [sorted(cycle_type(s).counts.items()) for s in all_permutations(q)]
+    total = 0
+    for ta in types_p:
+        for tb in types_q:
+            total += 1 << sum(math.gcd(r, s) * ca * cb for r, ca in ta for s, cb in tb)
+    order = math.factorial(p) * math.factorial(q)
+    assert total % order == 0
+    return total // order
+
+
+def test_count_naive_matches_per_pair_sum():
+    for p in range(0, 6):
+        for q in range(0, 6):
+            assert count_naive(p, q) == count_per_pair(p, q), (p, q)
+
+
+def test_type_tally_is_the_class_census():
+    for n in range(0, 8):
+        tally = type_tally(n)
+        assert sum(tally.values()) == math.factorial(n)
+        sizes = {tuple(sorted(r for r, c in t.counts.items() for _ in range(c))): class_size(t)
+                 for t in partitions(n)}
+        assert dict(tally) == sizes, n
 
 
 def test_count_matches_census():

@@ -102,6 +102,9 @@ GOLDEN = [
      "63e89fbdb54150a72b418f7916ed0dd54ed1acd18facaf627af959dfedadf9cd"),
     (["count", "4", "4", "--oracle", "naive", "--format", "csv"],
      "f1b6d75545f3dd2d6c47e0ffd75a75728b55bfad9c6adaea53b2879f3de6e800"),
+    # taken before the naive count oracle tallied by cycle type: its cap, (7, 7)
+    (["count", "7", "7", "--oracle", "naive"],
+     "f1c53ba2e357359a40570c7c7d97e3567c0e25a92db33cf56a7ca34d5aaaabfb"),
     # taken before the verify checks moved to image tuples, the doubling mask table and
     # tallied naive oracles: one suite alone, and every suite at another seed
     (["verify", "--suite", "characters", "--seed", "0"],

@@ -1,13 +1,17 @@
 """The verify suites themselves: labels, determinism, and failure reporting."""
 
 import time
+from collections import Counter
 
-from bicolored import exact, verify
+from bicolored import characters, enumeration, exact, perm, verify
 from bicolored.perm import CycleType, Permutation, all_permutations, cycle_type
 from bicolored.verify import (EXPECTED_FLAGGED_H, GOLDEN_CELLS, SUITES, _fixed_subsets,
                               run_suites)
 
 FIXED_SUBSETS = "2^<a,b> counts the subsets fixed by (a,b), exhaustive p,q <= 3"
+NAIVE_ORACLES = ["averaging formula vs literal average, p <= 7",
+                 "class-sum count equals naive permutation sum, p,q <= 5",
+                 "stirling numbers vs brute-force cycle census (n <= 6)"]
 CONJUGATION = ["class function: c(pi s pi^-1) = c(s), exhaustive p <= 6",
                "cycle type is conjugation invariant, exhaustive n <= 5"]
 
@@ -96,6 +100,21 @@ def test_conjugation_checks_fail_on_a_non_class_function(monkeypatch):
     # (1 2) and (3 4) are disjoint, but only (1 2) keeps its type
     line = line_for(lines, "disjoint multiplicativity")
     assert line.startswith("FAIL") and "  [at n=" in line
+
+
+def test_naive_oracle_checks_read_the_one_walker(monkeypatch):
+    # doubling every count keeps count_naive's division exact, so each check fails
+    # instead of raising; all three read type_tally
+    tally = perm.type_tally
+
+    def doubled(n):
+        return Counter({key: 2 * k for key, k in tally(n).items()})
+
+    for module in (enumeration, characters, verify):
+        monkeypatch.setattr(module, "type_tally", doubled)
+    lines = collect(["characters"])[1] + collect(["bounds"])[1]
+    for label in NAIVE_ORACLES:
+        assert line_for(lines, label).startswith("FAIL"), label
 
 
 def test_conjugation_invariant_on_small_groups():
