@@ -22,12 +22,12 @@ def theorem_bound(p, q):
     """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2).
 
     An element of Z[sqrt2] over p! q!, which the twisted product's kernel sums over the
-    cycle count of the smaller side: for p <= q it is
+    cycle count of one side: for p <= DEGREE_CAP with p <= q or q odd it is
     sum_k c(p,k) sqrt2^(q(p-k)) prod_{j<q} (2^k + j) / (p! q!), each product one
     math.prod of integers, and otherwise sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q) / (p! q!).
     Raises CapExceeded for p*q > DEGREE_CAP^2, which bounds its integers and keeps the one
-    Stirling row read, min(p, q), within DEGREE_CAP, or for q > DEGREE_CAP, kept because
-    tests pin it: (1, 65) is refused and `bound 3 65` exits 2, while `bound 65 3` exits 0.
+    Stirling row read within DEGREE_CAP (row q when p > DEGREE_CAP), or for q > DEGREE_CAP,
+    kept because tests pin it: (1, 65) is refused, `bound 3 65` exits 2, `bound 65 3` exits 0.
     """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")

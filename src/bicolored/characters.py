@@ -60,12 +60,13 @@ def verify_cyclic(table):
 
 
 def avg_char(chi):
-    """(1/p!) sum of chi over the symmetric group: z^p (1/z)^(p rising) / p!, by _twisted_sum."""
+    """(1/p!) sum of chi over S_p, sum_k c(p,k) z^(p-k) / p! = prod_{i<p} (1 + i z) / p!: with
+    z = (x + y sqrt2)/d, one _rising product of the integers d + i x + i y sqrt2 over d^p p!."""
     p = chi.degree
     if p > DEGREE_CAP:
         raise CapExceeded("avg_char needs p <= %d" % DEGREE_CAP)
     z = chi.base
-    return z ** p * _twisted_sum(p, z, 1, 1)
+    return QSqrt2(*_rising(z.d, 0, z.x, z.y, p, 1, 0), z.d ** p * math.factorial(p))
 
 
 def avg_char_naive(chi):
@@ -104,15 +105,14 @@ def twisted_refusal(p, z, q, zprime):
     return None
 
 
-def _rising(x, y, step, n, ra, rb):
-    """(ra + rb sqrt2) prod_{j<n} (x + j step + y sqrt2), as the integer pair of A + B sqrt2."""
-    factors = range(x, x + n * step, step)
-    if not y:
-        r = math.prod(factors)
+def _rising(x, y, sx, sy, n, ra, rb):
+    """(ra + rb sqrt2) prod_{j<n} (x + j sx + (y + j sy) sqrt2), as the integer pair (A, B)."""
+    if not (y or sy):
+        r = math.prod(range(x, x + n * sx, sx))
         return ra * r, rb * r
-    y2 = 2 * y
-    for c in factors:
-        ra, rb = ra * c + rb * y2, ra * y + rb * c
+    for _ in range(n):
+        ra, rb = ra * x + rb * (2 * y), ra * y + rb * x
+        x, y = x + sx, y + sy
     return ra, rb
 
 
@@ -120,16 +120,17 @@ def _twisted_sum(p, z, q, zprime):
     """((chi_z, chi_z')) = sum_{k,l} c(p,k) c(q,l) w'^k w^(kl) / (p! q!), uncapped.
 
     With w = 1/z and w' = 1/z', the identity sum_l c(m,l) X^l = X^(m rising) sums out
-    the larger side: the product is sum_k c(n,k) a^k (w^k b)^(m rising) / (n! m!) with
-    (n, a, m, b) = (p, w', q, 1) when p <= q and (q, 1, p, w') otherwise, so only the
-    Stirling row of n = min(p, q) is read. Writing w = (u + v sqrt2)/d and
-    w^k b = (x + y sqrt2)/t, the rising factorial is prod_{j<m} (x + j t + y sqrt2) / t^m,
-    one math.prod when y = 0. Term k then lies over s^k d_b^m with s = d^m d_a, so Horner
-    steps A <- A s + c(n,k) N_k, N_k the numerator of a^k times that product, keep the
-    sum as (A + B sqrt2)/(s^n d_b^m n! m!) in plain integers, reduced once.
+    one side: the product is sum_k c(n,k) a^k (w^k b)^(m rising) / (n! m!), read off the
+    Stirling row of n, with (n, a, m, b) = (p, w', q, 1) when p <= q, or p <= DEGREE_CAP with
+    w rational and w' not (row q's bases w^l w' carry sqrt2), else (q, 1, p, w'). With
+    w = (u + v sqrt2)/d and w^k b = (x + y sqrt2)/t, the rising factorial is
+    prod_{j<m} (x + j t + y sqrt2) / t^m, one math.prod when y = 0. Term k lies over s^k d_b^m
+    with s = d^m d_a, so Horner steps A <- A s + c(n,k) N_k, N_k the numerator of a^k times
+    that product, keep the sum as (A + B sqrt2)/(s^n d_b^m n! m!) in integers, reduced once.
     """
     w, wp = QSqrt2._coerce(z).inverse(), QSqrt2._coerce(zprime).inverse()
-    n, a, m, b = (p, wp, q, _ONE) if p <= q else (q, _ONE, p, wp)
+    row_p = p <= q or (p <= DEGREE_CAP and not w.y and wp.y)
+    n, a, m, b = (p, wp, q, _ONE) if row_p else (q, _ONE, p, wp)
     u, v, d = w.x, w.y, w.d
     ua, va = a.x, a.y
     s = d ** m * a.d
@@ -140,7 +141,7 @@ def _twisted_sum(p, z, q, zprime):
         # c(n,0) = 0 for n >= 1, met while A = 0, so skipping A s there is exact
         c = stirling_first(n, k)
         if c:
-            ra, rb = _rising(x, y, t, m, ax, ay)
+            ra, rb = _rising(x, y, t, 0, m, ax, ay)
             big_a = big_a * s + c * ra
             big_b = big_b * s + c * rb
         ax, ay = ax * ua + 2 * ay * va, ax * va + ay * ua

@@ -1,5 +1,6 @@
 """Permutations of {1,...,n}, cycle types, integer partitions, class sizes."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -89,9 +90,6 @@ class CycleType:
         self.n = n
         self.counts = counts
 
-    def items(self):
-        return sorted(self.counts.items())
-
     def get(self, r):
         return self.counts.get(r, 0)
 
@@ -99,7 +97,7 @@ class CycleType:
         return isinstance(other, CycleType) and self.n == other.n and self.counts == other.counts
 
     def __hash__(self):
-        return hash((self.n, tuple(self.items())))
+        return hash((self.n, tuple(sorted(self.counts.items()))))
 
     def __repr__(self):
         return "CycleType[%d; %s]" % (self.n, self.counts)
@@ -178,12 +176,13 @@ def compose(sigma, tau):
     return Permutation(sigma.images[j - 1] for j in tau.images)
 
 
+@functools.cache
 def type_tally(n):
     """{sorted cycle lengths, singletons included: how many of the n! permutations have them}.
 
     The oracle behind every naive sum over S_n: it follows the cycles of each image tuple
-    of itertools.permutations and reads no partitions, class sizes or Stirling rows.
-    """
+    of itertools.permutations and reads no partitions, class sizes or Stirling rows. Each
+    S_n is walked once and cached, so callers must not mutate the returned Counter."""
     tally = Counter()
     for images in itertools.permutations(range(n)):
         seen = [False] * n

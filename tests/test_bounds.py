@@ -51,7 +51,7 @@ def test_theorem_bound_matches_twisted_product():
         for q in range(1, 25):
             assert theorem_bound(p, q) == twisted_bound(p, q), (p, q)
     # both parities of q at the largest degrees, and the shape of `bound 70 3`
-    for p, q in [(3, 64), (64, 3), (70, 3), (64, 64)]:
+    for p, q in [(3, 64), (64, 3), (70, 3), (64, 64), (64, 63), (64, 33)]:
         assert theorem_bound(p, q) == twisted_bound(p, q), (p, q)
 
 
@@ -89,10 +89,14 @@ def test_theorem_bound_builds_stirling_rows_of_q(monkeypatch):
     monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
     theorem_bound(4096, 1)
     assert max(exact._stirling_rows) <= DEGREE_CAP
-    # the kernel walks the smaller side's row: none above min(p, q) is built
+    # with p <= q the kernel walks row p: none above it is built
     monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
     theorem_bound(3, 64)
     assert max(exact._stirling_rows) == 3
+    # with p > q and q odd the bases of row q carry sqrt2, those of row p are rational
+    monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
+    theorem_bound(64, 63)
+    assert max(exact._stirling_rows) == 64
 
 
 def test_theorem_bound_not_symmetric():

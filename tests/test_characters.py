@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from bicolored import characters, exact
 from bicolored.characters import (ClassFunctionTable, CyclicCharacter, avg_char,
                                   avg_char_naive, char_eval, twisted_product,
                                   twisted_product_naive, twisted_refusal, verify_cyclic)
 from bicolored.enumeration import CapExceeded
-from bicolored.exact import QSqrt2, SQRT2, parse_qsqrt2, pow2, stirling_first
+from bicolored.exact import QSqrt2, SQRT2, parse_qsqrt2, pow2, rising_factorial, stirling_first
 from bicolored.perm import Permutation, all_permutations
 
 BASES = [QSqrt2(Fraction(1, 2)), QSqrt2(2), QSqrt2(Fraction(-1, 3)), SQRT2,
@@ -86,8 +87,9 @@ def test_tallied_oracles_match_per_permutation_sums():
 
 
 def test_avg_char_matches_rising_factorial_formula():
-    # the formula avg_char used before it joined _twisted_sum, z^p (1/z)^(p rising) / p!,
-    # with z^p, the rising factorial and p! each built up one factor per p
+    # z^p (1/z)^(p rising) / p!, the formula avg_char used before it became one product
+    # prod_{i<p} (1 + i z) / p!, with z^p, the rising factorial and p! each built up one
+    # factor per p
     for text in ("2", "-3/2", "sqrt2", "1-1*sqrt2", LONG_SURD):
         z = parse_qsqrt2(text)
         w = z.inverse()
@@ -96,6 +98,27 @@ def test_avg_char_matches_rising_factorial_formula():
             if p:
                 zp, rising, factorial = zp * z, rising * (w + p - 1), factorial * p
             assert avg_char(CyclicCharacter(p, z)) == zp * rising / factorial, (text, p)
+
+
+def test_avg_char_is_one_product(monkeypatch):
+    # the expected values come first: the literal average for p <= 7, and the
+    # rising-factorial formula at p = 64 with the longest base
+    chis = [CyclicCharacter(p, z) for p in range(8) for z in BASES]
+    want = [avg_char_naive(chi) for chi in chis]
+    z = parse_qsqrt2(LONG_SURD)
+    chis.append(CyclicCharacter(64, z))
+    want.append(z ** 64 * rising_factorial(z.inverse(), 64) / math.factorial(64))
+
+    def refuse(*args):
+        raise AssertionError("avg_char reached a step of the twisted kernel")
+
+    monkeypatch.setattr(characters, "_twisted_sum", refuse)
+    monkeypatch.setattr(characters, "stirling_first", refuse)
+    monkeypatch.setattr(exact, "stirling_first", refuse)
+    monkeypatch.setattr(QSqrt2, "inverse", refuse)
+    monkeypatch.setattr(QSqrt2, "__pow__", refuse)
+    for chi, value in zip(chis, want):
+        assert avg_char(chi) == value, chi
 
 
 def test_avg_char_at_one():

@@ -72,6 +72,11 @@ def test_type_tally_is_the_class_census():
         assert dict(tally) == sizes, n
 
 
+def test_type_tally_walks_each_degree_once():
+    # the tally depends only on n, so every naive oracle shares one walk of S_n
+    assert type_tally(7) is type_tally(7)
+
+
 def test_count_matches_census():
     for p in range(0, 6):
         for q in range(0, 6):

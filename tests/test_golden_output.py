@@ -111,6 +111,14 @@ GOLDEN = [
      "e5ed2bbb2c0409a2f2c45bd9ca1f0e4248f7e77f8704807fe0995bae81605a56"),
     (["verify", "--seed", "5"],
      "95058648bfb0c95e4e4debc90092a5ac68cdc8061851d8b2ee4f18a3874b253c"),
+    # taken before the bound summed rational bases over row p and `char avg` became one
+    # product: p > q with q odd, a rational 1/z with p > q, and a base with no rational part
+    (["bound", "64", "33"],
+     "e1219a7e48225524d1310ab8c30a5175f175ed50738557eeb982e05e6258d862"),
+    (["char", "twisted", "64", "-3/2", "3", "1-1*sqrt2"],
+     "6709178b880be766df6dd874fcc3bd9720b9846d2ac47630566a662c2abf7f1e"),
+    (["char", "avg", "64", "-sqrt2"],
+     "f64005810ff1a7b6712461e9e939efa669df1d56db7f851a76124dff1a7a9933"),
 ]
 
 
