@@ -4,15 +4,15 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, filterfalse, repeat
-from operator import add, lshift, mul
+from itertools import combinations_with_replacement, filterfalse
+from operator import add, lshift
 
-from .perm import class_size, partitions, type_tally
+from .perm import type_tally
 
 DEGREE_CAP = 64   # count_exact refuses degrees beyond this without an override
 CENSUS_CAP = 20   # orbit_census covers 2^(p q) subsets; cap on p*q
 # count_exact's work model, P(min(p,q)) max(p,q)^2 shift-adds: (36,36) is accepted
-# and takes about 2 s on a 2-vCPU Xeon, (37,37) is refused
+# and takes about 2.2 s on a 2-vCPU Xeon, (30,64) about 2.0 s, (37,37) is refused
 COUNT_BUDGET = 25_000_000
 
 
@@ -45,19 +45,35 @@ def _count_by_classes(p, q):
     #   h_n = sum_{lam |- n} 2^<lam,mu> / z_lam,  h_0 = 1,
     # counts the n-column multisets fixed by a row permutation of type mu, and
     #   n h_n = sum_{r=1..n} h_(n-r) << e_r,  e_r = sum_s gcd(r,s) c_s(mu),
-    # so |B_u(p,q)| = sum_mu |C_mu| h_q / p!. Any order is exact; p <= q costs least,
+    # so |B_u(p,q)| = sum_mu (p!/z_mu) h_q / p!, z_mu = prod_s s^c_s c_s!. The types mu
+    # are walked as a tree, parts in decreasing order with one branch per multiplicity,
+    # carrying e and z_mu down it; any order is exact, p <= q costs least,
     # P(p) q^2/2 shift-adds with q + 1 big integers live.
     gcds = [[math.gcd(r, s) for r in range(1, q + 1)] for s in range(p + 1)]
-    total = 0
-    for mu in partitions(p):
-        e = [0] * q   # e[r-1] = e_r
-        for s, c in mu.counts.items():
-            e = list(map(add, e, gcds[s] if c == 1 else map(mul, gcds[s], repeat(c))))
-        h = [1]
-        for n in range(1, q + 1):
-            h.append(sum(map(lshift, reversed(h), e)) // n)
-        total += class_size(mu) * h[q]
     order = math.factorial(p)
+    total = 0
+
+    def walk(n, s, e, z):
+        # every mu with parts <= s filling the n points left, after the parts above s
+        nonlocal total
+        s = min(s, n)
+        if s > 1:
+            row = gcds[s]
+            for c in range(1, n // s + 1):
+                walk(n - (c - 1) * s, s - 1, e, z)
+                e = list(map(add, e, row))
+                z *= s * c
+            walk(n % s, s - 1, e, z)
+            return
+        if n:   # s = 1: the rest are fixed points, gcd(r, 1) = 1
+            e = list(map(n.__add__, e))
+            z *= math.factorial(n)
+        h = [1]
+        for m in range(1, q + 1):
+            h.append(sum(map(lshift, reversed(h), e)) // m)
+        total += order // z * h[q]
+
+    walk(p, p, [0] * q, 1)
     assert total % order == 0
     return total // order
 

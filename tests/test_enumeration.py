@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from bicolored import enumeration, perm
 from bicolored.enumeration import (CENSUS_CAP, COUNT_BUDGET, CapExceeded, _count_by_classes,
                                    _partition_count, _row_images, count_exact, count_naive,
                                    count_refusal, free_fraction, free_fraction_lower_bound,
@@ -230,6 +231,22 @@ def test_count_matches_falling_factorial_kernel():
     pairs += [(6, 40), (3, 64), (12, 30), (26, 26)]
     for p, q in pairs:
         assert _count_by_classes(p, q) == _falling_factorial_kernel(p, q), (p, q)
+
+
+def test_count_kernel_reads_no_partition_stream(monkeypatch):
+    # the kernel walks its own tree of cycle types, so it runs with the partition
+    # stream, class sizes and CycleType all raising; the oracle walks them before that
+    pairs = [(0, 5), (7, 7), (12, 20), (20, 12)]
+    want = [_falling_factorial_kernel(p, q) for p, q in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count kernel reads the partition stream")
+
+    for name in ("partitions", "class_size", "CycleType"):
+        monkeypatch.setattr(perm, name, refuse)
+        if hasattr(enumeration, name):
+            monkeypatch.setattr(enumeration, name, refuse)
+    assert [_count_by_classes.__wrapped__(p, q) for p, q in pairs] == want
 
 
 def test_count_matches_class_sum():

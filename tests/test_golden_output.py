@@ -119,6 +119,13 @@ GOLDEN = [
      "6709178b880be766df6dd874fcc3bd9720b9846d2ac47630566a662c2abf7f1e"),
     (["char", "avg", "64", "-sqrt2"],
      "f64005810ff1a7b6712461e9e939efa669df1d56db7f851a76124dff1a7a9933"),
+    # taken before the count kernel walked cycle types as a tree, the conjugation checks
+    # ran on S_n's two generators and three rational checks compared integers: every
+    # suite at a third seed, and the suite holding count_exact(26, 26) alone
+    (["verify", "--seed", "3"],
+     "95058648bfb0c95e4e4debc90092a5ac68cdc8061851d8b2ee4f18a3874b253c"),
+    (["verify", "--suite", "bounds", "--seed", "2"],
+     "e279acf5ff9687f5c34f46b0e6c5003ca1c788cb20f71fcad7b9f46011a6f511"),
 ]
 
 

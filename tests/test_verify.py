@@ -124,11 +124,27 @@ def test_conjugation_invariant_on_small_groups():
     # S_2 is abelian, so every function on it is a class function
     assert verify._conjugation_invariant(2, lambda s: s.images)
     assert all(verify._conjugation_invariant(n, lambda s: 0) for n in range(5))
+    # each invariant under one of the generators (1 2) and (1 2 ... n) only, so a
+    # check that drops either generator passes one of them
+    def fixes_n(s):
+        return s(s.n) == s.n
+
+    def steps(s):
+        return sum(s(i) % s.n == (i + 1) % s.n for i in range(1, s.n + 1))
+
+    for n in range(3, 7):
+        swap, rotate = Permutation.from_cycles(n, (1, 2)), perm.make_cycle(n, n)
+        for f, g, h in [(fixes_n, swap, rotate), (steps, rotate, swap)]:
+            assert all(f(g * s * g.inverse()) == f(s) for s in all_permutations(n))
+            assert not all(f(h * s * h.inverse()) == f(s) for s in all_permutations(n))
+            assert not verify._conjugation_invariant(n, f)
 
 
 def test_all_suites_run_in_time():
-    # all suites take about 0.75 s on a 2-vCPU Xeon (2.3 s before the brute-force
-    # checks over S_n moved to C-level loops); the generous limit leaves room for a
+    # all suites take 0.65 to 0.75 s on a 2-vCPU Xeon (0.9 to 1.1 s before the count
+    # kernel walked cycle types as a tree and the conjugation checks ran on S_n's two
+    # generators, 2.3 s before the brute-force checks over S_n moved to C-level
+    # loops); the generous limit leaves room for a
     # shared host's swings and fails when the suites' cost grows tenfold, as a brute
     # force widened to the next n would make it
     start = time.monotonic()
