@@ -1,6 +1,5 @@
 """Upper bounds for |B_u(p,q)|, the comparison table, and asymptotic verification."""
 
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -77,28 +76,28 @@ def growth_ratio(p, k):
     return Fraction(value * math.factorial(p) * math.factorial(q), 1 << (p * q))
 
 
-def _a_log2_terms(h, k):
-    """log2 a_{h,p} for p = h+1, h+2, ..., by incremental updates; -inf at p = 1."""
-    m0 = h + 1 + k
-    base = 1 << h
-    s = sum(math.log2(base + i) for i in range(m0))
-    log_binom = math.log2(h + 1)  # binom(h+1, h)
-    for p in itertools.count(h + 1):
-        m = p + k
-        if p > h + 1:
-            log_binom += math.log2(p) - math.log2(p - h)
-            s += math.log2(base + m - 1)
-        if p == 1:
-            yield float("-inf")  # the base (p-1)/2 vanishes and p - h > 0
-        else:
-            yield log_binom + (p - h) * (math.log2(p - 1) - 1 + m / 2) + s - p * m
-
-
 def _a_log2(h, p, k):
-    """log2 of the a_{h,p} product; -inf for the zero cases h < 0 and h >= p."""
-    if h < 0 or h >= p:
+    """log2 of the a_{h,p} product; -inf for the zero cases h < 0, h >= p and p = 1."""
+    if h < 0 or h >= p or p == 1:
         return float("-inf")
-    return next(itertools.islice(_a_log2_terms(h, k), p - h - 1, None))
+    m = p + k
+    base = 1 << h
+    s = sum(math.log2(base + i) for i in range(m))
+    return math.log2(math.comb(p, h)) + (p - h) * (math.log2(p - 1) - 1 + m / 2) + s - p * m
+
+
+def _falls(h, p, k):
+    """Whether rho_p = a_{h,p+1}/a_{h,p} < 1, decided by integers; needs 1 <= h < p.
+
+    rho_p = N / (D sqrt2^e) with N = (p+1) p^(p+1-h) (2^h+p+k), D = 2 (p+1-h) (p-1)^(p-h)
+    and e = 2p+k+1+h; for odd e both sides are squared.
+    """
+    n = (p + 1) * p ** (p + 1 - h) * ((1 << h) + p + k)
+    d = 2 * (p + 1 - h) * (p - 1) ** (p - h)
+    e = 2 * p + k + 1 + h
+    if e % 2:
+        return n * n < (d * d) << e
+    return n < d << (e // 2)
 
 
 def a_log2_closed_form(h, k):
@@ -112,18 +111,25 @@ def a_log2_closed_form(h, k):
 
 
 def verify_H(k, h_max=64, p_max=512):
-    """Per h, where max_p a_{h,p} is attained; the contract is p = h+1 for h >= H_k."""
+    """Per h, the p in h+1..p_max where a_{h,p} peaks; the contract is p = h+1 for h >= H_k.
+
+    Each row walks p up from h+1 to the first p with rho_p < 1 (`_falls`) or to p_max. That
+    p is the maximum by the lemma: rho_{p+1} < rho_p for 1 <= h < p. Proof: from `_falls`,
+    rho_{p+1}/rho_p = A B C / 2 with A = (p+2)(p+1-h)/((p+1)(p+2-h)) <= 1,
+    B = (1-1/p^2)^(p-h) (1+1/p)^2 <= (1+1/p)^2 and C = 1 + 1/(2^h+p+k) <= 1 + 1/(p+2),
+    so for p >= 4 it is at most (25/16)(7/6)/2 = 175/192 < 1. The other cases are
+    (h,p) = (1,2), (1,3), (2,3), exactly 15/16, 64/81, 1280/1701 (<= 0.94, 0.80, 0.76) at
+    k = 0, and C, the only factor with k, only falls as k grows.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     rows = []
     for h in range(1, h_max + 1):
-        best = float("-inf")
-        best_p = 0
-        for p, value in zip(range(h + 1, p_max + 1), _a_log2_terms(h, k)):
-            if value > best:
-                best = value
-                best_p = p
-        rows.append(HRow(h, best_p, best, best_p == h + 1))
+        p = h + 1
+        while p < p_max and not _falls(h, p, k):
+            p += 1
+        rows.append(HRow(h, p, _a_log2(h, p, k), p == h + 1) if p <= p_max
+                    else HRow(h, 0, float("-inf"), False))
     return rows
 
 

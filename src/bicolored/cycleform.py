@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .perm import CycleType, Permutation, compose, cycle_type, total_cycles
 
@@ -81,15 +80,6 @@ def cycle_form_bilinear(x, y):
     return total
 
 
-@lru_cache(maxsize=1024)
-def _gamma_type(p, length):
-    """Cycle type of a length-cycle in S_p; cached, so callers must not mutate it."""
-    counts = {length: 1}
-    if p > length:
-        counts[1] = counts.get(1, 0) + (p - length)
-    return CycleType(p, counts)
-
-
 def cycle_form_via_decomposition(alpha, beta):
     """<alpha,beta> evaluated through the cycle decomposition of alpha."""
     a = _as_type(alpha)
@@ -98,7 +88,8 @@ def cycle_form_via_decomposition(alpha, beta):
     cb = total_cycles(b)
     total = 0
     for j, cj in a.counts.items():
-        total += cj * cycle_form(_gamma_type(p, j), b)
+        # <gamma_j, beta> on the type {j: 1, 1: p-j}
+        total += cj * (sum(math.gcd(j, s) * c for s, c in b.counts.items()) + (p - j) * cb)
     return total + (1 - total_cycles(a)) * p * cb
 
 
@@ -109,8 +100,9 @@ def bound_1a_gap(length, p, beta):
     b = _as_type(beta)
     q = b.n
     cb = total_cycles(b)
-    bracket = p * cb - cycle_form(_gamma_type(p, length), b)
-    return Fraction(bracket) - (length - 1) * (Fraction(cb) - Fraction(q, length))
+    # p c(beta) - <gamma_length, beta>, the form read on the type {length: 1, 1: p-length}
+    bracket = length * cb - sum(math.gcd(length, s) * c for s, c in b.counts.items())
+    return Fraction(length * bracket - (length - 1) * (length * cb - q), length)
 
 
 def bound_5_gap(alpha):

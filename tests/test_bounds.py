@@ -1,18 +1,20 @@
 """Theorem bound, competing bounds, table cells, and asymptotic scans."""
 
 import inspect
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from bicolored import exact
-from bicolored.bounds import (BoundReport, HRow, _a_log2, a_log2_closed_form, ao_bounds,
-                              bound_report, growth_ratio, h_constant, ratio_table, tail_ratio,
-                              theorem_bound, verify_H)
+from bicolored.bounds import (BoundReport, HRow, _a_log2, _falls, a_log2_closed_form,
+                              ao_bounds, bound_report, growth_ratio, h_constant, ratio_table,
+                              tail_ratio, theorem_bound, verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
 from bicolored.enumeration import DEGREE_CAP, CapExceeded, OrbitCensus, count_exact, orbit_census
 from bicolored.exact import QSqrt2, parse_qsqrt2, pow2, rising_factorial
+from bicolored.verify import _a_exact
 
 
 def test_theorem_bound_small_values():
@@ -213,6 +215,118 @@ def test_verify_H_argmax():
     for k in range(4):
         for r in verify_H(k, 64, 512):
             assert r.argmax_p == off_first.get((k, r.h), r.h + 1), (k, r.h)
+
+
+def a_log2_terms(h, k):
+    """log2 a_{h,p} for p = h+1, h+2, ..., by incremental updates; -inf at p = 1.
+
+    The generator `verify_H` scanned before it stopped at the first falling ratio.
+    """
+    m0 = h + 1 + k
+    base = 1 << h
+    s = sum(math.log2(base + i) for i in range(m0))
+    log_binom = math.log2(h + 1)  # binom(h+1, h)
+    for p in itertools.count(h + 1):
+        m = p + k
+        if p > h + 1:
+            log_binom += math.log2(p) - math.log2(p - h)
+            s += math.log2(base + m - 1)
+        if p == 1:
+            yield float("-inf")
+        else:
+            yield log_binom + (p - h) * (math.log2(p - 1) - 1 + m / 2) + s - p * m
+
+
+def float_scan(k, h_max, p_max):
+    """The float argmax over every h+1 <= p <= p_max, first maximum kept."""
+    rows = []
+    for h in range(1, h_max + 1):
+        best, best_p = float("-inf"), 0
+        for p, value in zip(range(h + 1, p_max + 1), a_log2_terms(h, k)):
+            if value > best:
+                best, best_p = value, p
+        rows.append(HRow(h, best_p, best, best_p == h + 1))
+    return rows
+
+
+GRIDS = [(64, 512), (16, 128), (10, 5), (3, 2), (64, 66)]
+
+
+def test_verify_H_matches_float_scan():
+    for h_max, p_max in GRIDS:
+        for k in range(8):
+            rows, scan = verify_H(k, h_max, p_max), float_scan(k, h_max, p_max)
+            assert len(rows) == h_max
+            for row, old in zip(rows, scan):
+                assert (row.h, row.argmax_p, row.at_first) == (old.h, old.argmax_p, old.at_first), \
+                    (h_max, p_max, k, row, old)
+                if old.argmax_p == 0:
+                    assert row.max_log2 == float("-inf")
+                elif row.at_first:  # the same arithmetic as the generator's first term
+                    assert row.max_log2 == old.max_log2, (h_max, p_max, k, row)
+                else:
+                    assert math.isclose(row.max_log2, old.max_log2, rel_tol=1e-12, abs_tol=0)
+
+
+def test_a_log2_matches_incremental_terms():
+    for k in range(5):
+        for h in range(20):
+            terms = a_log2_terms(h, k)
+            for p in range(40):
+                want = next(terms) if p > h else float("-inf")
+                got = _a_log2(h, p, k)
+                if math.isinf(want):
+                    assert got == want, (h, p, k)
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (h, p, k)
+
+
+def rho(h, p, k):
+    """rho_p = a_{h,p+1}/a_{h,p} as (N, D, e), rho_p = N / (D sqrt2^e)."""
+    return ((p + 1) * p ** (p + 1 - h) * ((1 << h) + p + k),
+            2 * (p + 1 - h) * (p - 1) ** (p - h), 2 * p + k + 1 + h)
+
+
+def test_falls_matches_exact_ratio():
+    for k in range(5):
+        for h in range(1, 6):
+            for p in range(h + 1, 7):
+                ratio = _a_exact(h, p + 1, k) / _a_exact(h, p, k)
+                n, d, e = rho(h, p, k)
+                assert ratio == QSqrt2(Fraction(n, d)) / pow2(Fraction(e, 2)), (h, p, k)
+                assert _falls(h, p, k) == (ratio < 1), (h, p, k)
+
+
+def lemma_factors(h, p, k):
+    """A, B, C of rho_{p+1}/rho_p = A B C / 2, as `verify_H`'s docstring states them."""
+    return (Fraction((p + 2) * (p + 1 - h), (p + 1) * (p + 2 - h)),
+            (1 - Fraction(1, p * p)) ** (p - h) * (1 + Fraction(1, p)) ** 2,
+            1 + Fraction(1, (1 << h) + p + k))
+
+
+def test_ratio_decreases_in_p():
+    # rho_{p+1} < rho_p; e grows by 2 from p to p+1, so it is an integer test
+    for k in range(5):
+        for h in range(1, 65):
+            for p in range(h + 1, 101):
+                n0, d0, e0 = rho(h, p, k)
+                n1, d1, e1 = rho(h, p + 1, k)
+                assert e1 == e0 + 2
+                assert n1 * d0 < 2 * n0 * d1, (h, p, k)
+    # the lemma's factors and bounds, then its three cases below p = 4, by Fraction
+    for k in range(5):
+        for h, p in [(1, 2), (1, 3), (2, 3), (1, 4), (3, 9), (7, 8)]:
+            n0, d0, _ = rho(h, p, k)
+            n1, d1, _ = rho(h, p + 1, k)
+            a, b, c = lemma_factors(h, p, k)
+            assert a * b * c / 2 == Fraction(n1 * d0, 2 * n0 * d1)
+            assert a <= 1 and b <= (1 + Fraction(1, p)) ** 2 and c <= 1 + Fraction(1, p + 2)
+    assert (1 + Fraction(1, 4)) ** 2 * (1 + Fraction(1, 6)) / 2 == Fraction(175, 192)
+    for h, p, want, cap in [(1, 2, Fraction(15, 16), 0.94), (1, 3, Fraction(64, 81), 0.80),
+                            (2, 3, Fraction(1280, 1701), 0.76)]:
+        a, b, c = lemma_factors(h, p, 0)
+        assert a * b * c / 2 == want <= cap
+        assert all(lemma_factors(h, p, k)[2] < c for k in range(1, 5))
 
 
 def test_h_constant():

@@ -9,7 +9,7 @@ from bicolored.cycleform import (GroupAlgebraElement, bound_1a_gap, bound_5_gap,
                                  bracket_prime_cycle, cycle_form, cycle_form_bilinear,
                                  cycle_form_via_decomposition)
 from bicolored.perm import (CycleType, Permutation, all_permutations, cycle_type,
-                            disjoint, partitions, total_cycles)
+                            disjoint, make_cycle, partitions, total_cycles)
 
 
 def orbit_count(sa, sb):
@@ -128,6 +128,20 @@ def test_bound_1a_gap_nonnegative_and_p_free():
         bound_1a_gap(5, 4, CycleType(3, {3: 1}))
     with pytest.raises(ValueError):
         bound_1a_gap(0, 4, CycleType(3, {3: 1}))
+
+
+def test_bound_1a_gap_matches_form_on_a_cycle():
+    # <1 - gamma, beta> - (length-1)(c(beta) - q/length), with <gamma, beta> taken by
+    # cycle_form on the permutation (1 2 ... length) of S_p
+    for q in range(1, 8):
+        for mu in partitions(q):
+            cb = total_cycles(mu)
+            for p in range(1, 8):
+                for length in range(1, p + 1):
+                    gamma = make_cycle(p, length)
+                    want = (Fraction(p * cb - cycle_form(gamma, mu))
+                            - (length - 1) * (cb - Fraction(q, length)))
+                    assert bound_1a_gap(length, p, mu) == want, (length, p, mu)
 
 
 def test_bound_1a_gap_tight_cases():

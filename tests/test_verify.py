@@ -3,7 +3,7 @@
 import time
 from collections import Counter
 
-from bicolored import characters, enumeration, exact, perm, verify
+from bicolored import bounds, characters, enumeration, exact, perm, verify
 from bicolored.perm import CycleType, Permutation, all_permutations, cycle_type
 from bicolored.verify import (EXPECTED_FLAGGED_H, GOLDEN_CELLS, SUITES, _fixed_subsets,
                               run_suites)
@@ -12,6 +12,7 @@ FIXED_SUBSETS = "2^<a,b> counts the subsets fixed by (a,b), exhaustive p,q <= 3"
 NAIVE_ORACLES = ["averaging formula vs literal average, p <= 7",
                  "class-sum count equals naive permutation sum, p,q <= 5",
                  "stirling numbers vs brute-force cycle census (n <= 6)"]
+H_CUTOFFS = "maximum sits at p = h+1 for h >= H_k, h <= 64, p <= 512"
 CONJUGATION = ["class function: c(pi s pi^-1) = c(s), exhaustive p <= 6",
                "cycle type is conjugation invariant, exhaustive n <= 5"]
 
@@ -117,6 +118,17 @@ def test_naive_oracle_checks_read_the_one_walker(monkeypatch):
         assert line_for(lines, label).startswith("FAIL"), label
 
 
+def test_cutoff_check_reads_the_ratio_test(monkeypatch):
+    # a ratio that always falls puts every maximum at p = h+1 (k = 2 is the last k that
+    # expects a flag); one that never falls puts it at p = 512 for every h
+    for falls, detail in [(True, "[flag set for k=2 is []]"),
+                          (False, "[flag set for k=3 is %s]" % list(range(1, 65)))]:
+        monkeypatch.setattr(bounds, "_falls", lambda h, p, k, falls=falls: falls)
+        ok, lines = collect(["asymptotics"])
+        assert not ok
+        assert line_for(lines, H_CUTOFFS) == "FAIL  asymptotics: %s  %s" % (H_CUTOFFS, detail)
+
+
 def test_conjugation_invariant_on_small_groups():
     assert verify._conjugation_invariant(4, cycle_type)
     assert not verify._conjugation_invariant(3, lambda s: s(1))
@@ -141,9 +153,10 @@ def test_conjugation_invariant_on_small_groups():
 
 
 def test_all_suites_run_in_time():
-    # all suites take 0.65 to 0.75 s on a 2-vCPU Xeon (0.9 to 1.1 s before the count
-    # kernel walked cycle types as a tree and the conjugation checks ran on S_n's two
-    # generators, 2.3 s before the brute-force checks over S_n moved to C-level
+    # all suites take 0.30 to 0.37 s on a 2-vCPU Xeon (0.35 to 0.55 s in the same
+    # sitting while verify_H scanned every p <= 512 in floats, 0.9 to 1.1 s before the
+    # count kernel walked cycle types as a tree and the conjugation checks ran on S_n's
+    # two generators, 2.3 s before the brute-force checks over S_n moved to C-level
     # loops); the generous limit leaves room for a
     # shared host's swings and fails when the suites' cost grows tenfold, as a brute
     # force widened to the next n would make it
