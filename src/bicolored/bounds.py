@@ -100,6 +100,16 @@ def _falls(h, p, k):
     return n < d << (e // 2)
 
 
+def _tail(h, k):
+    """The tail ratio t_h = a_{h+1,h+2}/a_{h,h+1} exactly, for h >= 1: with m = h+1+k and
+    R(h, m) = prod_{i<m} (2^h + i), a_{h,h+1} = (h+1)(h/2) sqrt2^m R(h, m) / 2^((h+1)m),
+    so t_h = sqrt2 (h+2) R(h+1, m+1) / (h R(h, m) 2^(2h+3+k)).
+    """
+    m = h + 1 + k
+    n = (h + 2) * math.prod(range(2 << h, (2 << h) + m + 1))
+    return QSqrt2(0, n, h * math.prod(range(1 << h, (1 << h) + m)) << (2 * h + 3 + k))
+
+
 def a_log2_closed_form(h, k):
     """log2 of the closed form of a_{h,h+1}: (h(h+1)/2) 2^((h+1+k)(-h-1/2)) (2^h)^rising."""
     m = h + 1 + k
@@ -139,7 +149,7 @@ def h_constant(k):
 
 
 def tail_ratio(h, k):
-    """a_{h+1,h+2} / a_{h,h+1}, evaluated in the log domain."""
+    """a_{h+1,h+2} / a_{h,h+1} as a float, for display; `_tail` is the exact value."""
     if h < 1:
         raise ValueError("h must be positive")
-    return 2.0 ** (_a_log2(h + 1, h + 2, k) - _a_log2(h, h + 1, k))
+    return float(_tail(h, k))

@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 
 from . import exact
-from .bounds import (a_log2_closed_form, _a_log2, ao_bounds, growth_ratio, h_constant,
-                     ratio_table, tail_ratio, theorem_bound, verify_H)
+from .bounds import (a_log2_closed_form, _a_log2, _tail, ao_bounds, growth_ratio, h_constant,
+                     ratio_table, theorem_bound, verify_H)
 from .characters import (ClassFunctionTable, CyclicCharacter, avg_char, avg_char_naive,
                          char_eval, twisted_product, twisted_product_naive, verify_cyclic)
 from .cycleform import (GroupAlgebraElement, bound_1a_gap, bound_5_gap, bracket_prime_cycle,
@@ -356,8 +356,8 @@ def suite_bounds(rng):
 
     ok = True
     for k in range(5):
-        col = [table[(p, k)] for p in range(9, 49, 3)]
-        ok = ok and col == sorted(col) and all(float(v) < 2 for v in col)
+        col = [Fraction(table[(p, k)]) for p in range(9, 49, 3)]
+        ok = ok and col == sorted(col) and col[-1] < 2
     checks.append(("ratio table columns increase toward 2 for p >= 9", ok, ""))
 
     ok = growth_ratio(2, 0) == Fraction(7, 4) and growth_ratio(1, 0) == 1
@@ -383,7 +383,7 @@ def suite_bounds(rng):
     for k in range(5):
         prev = None
         for p in range(4, 21):
-            ratio = rising_factorial(Fraction(1 << p), p + k) / Fraction(1 << (p * (p + k)))
+            ratio = Fraction(math.prod(range(1 << p, (1 << p) + p + k)), 1 << p * (p + k))
             ok = ok and ratio >= 1 and (prev is None or ratio < prev)
             prev = ratio
     checks.append(("(2^p) rising over 2^(p(p+k)) is >= 1 and decreasing, p = 4..20", ok, ""))
@@ -445,16 +445,16 @@ def suite_asymptotics(rng):
     checks.append(("maximum sits at p = h+1 for h >= H_k, h <= 64, p <= 512", ok, detail))
 
     ok = True
-    ratios = [tail_ratio(h, 0) for h in range(5, 61)]
+    ratios = [_tail(h, 0) for h in range(5, 61)]
     ok = ok and all(ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1))
-    ok = ok and 0.70 < ratios[-1] < 0.76
+    ok = ok and Fraction(7, 10) < ratios[-1] < Fraction(19, 25)
     checks.append(("tail ratio strictly decreasing over h = 5..60 at k = 0", ok, ""))
 
     ok = True
     for k in range(1, 5):
-        ratios = [tail_ratio(h, k) for h in range(12, 61)]
+        ratios = [_tail(h, k) for h in range(12, 61)]
         ok = ok and all(ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1))
-        ok = ok and 0.70 < ratios[-1] < 0.76
+        ok = ok and Fraction(7, 10) < ratios[-1] < Fraction(19, 25)
     checks.append(("tail ratio decreasing for large h at every k <= 4", ok, ""))
 
     return checks

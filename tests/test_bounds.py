@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bicolored import exact
-from bicolored.bounds import (BoundReport, HRow, _a_log2, _falls, a_log2_closed_form,
+from bicolored.bounds import (BoundReport, HRow, _a_log2, _falls, _tail, a_log2_closed_form,
                               ao_bounds, bound_report, growth_ratio, h_constant, ratio_table,
                               tail_ratio, theorem_bound, verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
@@ -340,6 +340,39 @@ def test_tail_ratio_limit():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         tail_ratio(0, 0)
+
+
+def test_tail_matches_exact_ratio():
+    for k in range(5):
+        for h in range(1, 6):
+            assert _tail(h, k) == _a_exact(h + 1, h + 2, k) / _a_exact(h, h + 1, k), (h, k)
+
+
+def tail_ratio_log2(h, k):
+    """t_h as 2 to a difference of float log2 sums, as `tail_ratio` computed it before `_tail`."""
+    return 2.0 ** (_a_log2(h + 1, h + 2, k) - _a_log2(h, h + 1, k))
+
+
+def test_tail_ratio_matches_log_domain():
+    for k in range(8):
+        old = [tail_ratio_log2(h, k) for h in range(1, 65)]
+        new = [tail_ratio(h, k) for h in range(1, 65)]
+        for h, a, b in zip(range(1, 65), old, new):
+            assert math.isclose(a, b, rel_tol=1e-11, abs_tol=0), (h, k)
+        steps = [b < a for a, b in zip(old, old[1:])]
+        for t in (new, [_tail(h, k) for h in range(1, 65)]):
+            assert [b < a for a, b in zip(t, t[1:])] == steps, k
+
+
+def test_tail_shape():
+    # t_h, h <= 64: at k = 0 it falls from h = 1; at k = 1..4 it falls to a low at
+    # h = 6, 4, 4, 3, rises to a peak at h = 9, 10, 11, 11 and falls after it, toward
+    # and above its limit 2^(-1/2)
+    for k, low, peak in [(0, 1, 1), (1, 6, 9), (2, 4, 10), (3, 4, 11), (4, 3, 11)]:
+        t = [None] + [_tail(h, k) for h in range(1, 65)]
+        assert all(t[h + 1] < t[h] for h in range(1, 64) if not low <= h < peak), k
+        assert all(t[h + 1] > t[h] for h in range(low, peak)), k
+        assert QSqrt2(0, 1, 2) < t[64] < Fraction(19, 25), k
 
 
 RECORDS = [

@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from fractions import Fraction
 
 from bicolored import bounds, characters, enumeration, exact, perm, verify
 from bicolored.perm import CycleType, Permutation, all_permutations, cycle_type
@@ -13,6 +14,8 @@ NAIVE_ORACLES = ["averaging formula vs literal average, p <= 7",
                  "class-sum count equals naive permutation sum, p,q <= 5",
                  "stirling numbers vs brute-force cycle census (n <= 6)"]
 H_CUTOFFS = "maximum sits at p = h+1 for h >= H_k, h <= 64, p <= 512"
+TAIL = ["tail ratio strictly decreasing over h = 5..60 at k = 0",
+        "tail ratio decreasing for large h at every k <= 4"]
 CONJUGATION = ["class function: c(pi s pi^-1) = c(s), exhaustive p <= 6",
                "cycle type is conjugation invariant, exhaustive n <= 5"]
 
@@ -127,6 +130,23 @@ def test_cutoff_check_reads_the_ratio_test(monkeypatch):
         ok, lines = collect(["asymptotics"])
         assert not ok
         assert line_for(lines, H_CUTOFFS) == "FAIL  asymptotics: %s  %s" % (H_CUTOFFS, detail)
+
+
+def test_tail_checks_compare_exact_ratios(monkeypatch):
+    true_tail = bounds._tail
+    tiny = Fraction(1, 10 ** 30)  # far below a float's resolution at t_h ~ 0.7
+    # t_40 a hair above t_39 is a rise; a hair below it is a fall that only an exact
+    # comparison sees; t_60 at 7/10, the open interval's lower end, lies outside it
+    cases = [({40: lambda k: true_tail(39, k) + tiny}, "FAIL"),
+             ({40: lambda k: true_tail(39, k) - tiny}, "pass"),
+             ({60: lambda k: Fraction(7, 10)}, "FAIL")]
+    for patch, verdict in cases:
+        monkeypatch.setattr(verify, "_tail", lambda h, k, patch=patch:
+                            patch[h](k) if h in patch else true_tail(h, k))
+        ok, lines = collect(["asymptotics"])
+        assert ok == (verdict == "pass")
+        for label in TAIL:
+            assert line_for(lines, label) == "%s  asymptotics: %s" % (verdict, label)
 
 
 def test_conjugation_invariant_on_small_groups():
