@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
 from .characters import _twisted_sum
-from .exact import QSqrt2, decimal_render, pow2
+from .exact import QSqrt2, SQRT2, decimal_render, pow2
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
@@ -18,15 +18,13 @@ HRow = namedtuple("HRow", "h argmax_p max_log2 at_first")
 
 
 def theorem_bound(p, q):
-    """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2).
+    """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2):
+    sum_{k,l} c(p,k) c(q,l) 2^(kl) sqrt2^(q(p-k)) / (p! q!).
 
-    An element of Z[sqrt2] over p! q!, which the twisted product's kernel sums over the
-    cycle count of one side: for p <= DEGREE_CAP with p <= q or q odd it is
-    sum_k c(p,k) sqrt2^(q(p-k)) prod_{j<q} (2^k + j) / (p! q!), each product one
-    math.prod of integers, and otherwise sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q) / (p! q!).
-    Raises CapExceeded for p*q > DEGREE_CAP^2, which bounds its integers and keeps the one
-    Stirling row read within DEGREE_CAP (row q when p > DEGREE_CAP), or for q > DEGREE_CAP,
-    kept because tests pin it: (1, 65) is refused, `bound 3 65` exits 2, `bound 65 3` exits 0.
+    `_twisted_sum` sums out one side and chooses the Stirling row it reads.
+    Raises CapExceeded for p*q > DEGREE_CAP^2, which bounds its integers and keeps that
+    row within DEGREE_CAP, or for q > DEGREE_CAP, kept because tests pin it: (1, 65) is
+    refused, `bound 3 65` exits 2, `bound 65 3` exits 0.
     """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
@@ -87,17 +85,14 @@ def _a_log2(h, p, k):
 
 
 def _falls(h, p, k):
-    """Whether rho_p = a_{h,p+1}/a_{h,p} < 1, decided by integers; needs 1 <= h < p.
+    """Whether rho_p = a_{h,p+1}/a_{h,p} < 1, decided exactly; needs 1 <= h < p.
 
     rho_p = N / (D sqrt2^e) with N = (p+1) p^(p+1-h) (2^h+p+k), D = 2 (p+1-h) (p-1)^(p-h)
-    and e = 2p+k+1+h; for odd e both sides are squared.
+    and e = 2p+k+1+h, so rho_p < 1 iff N/D < sqrt2^e.
     """
     n = (p + 1) * p ** (p + 1 - h) * ((1 << h) + p + k)
     d = 2 * (p + 1 - h) * (p - 1) ** (p - h)
-    e = 2 * p + k + 1 + h
-    if e % 2:
-        return n * n < (d * d) << e
-    return n < d << (e // 2)
+    return QSqrt2(n, 0, d) < SQRT2 ** (2 * p + k + 1 + h)
 
 
 def _tail(h, k):
@@ -152,4 +147,6 @@ def tail_ratio(h, k):
     """a_{h+1,h+2} / a_{h,h+1} as a float, for display; `_tail` is the exact value."""
     if h < 1:
         raise ValueError("h must be positive")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     return float(_tail(h, k))

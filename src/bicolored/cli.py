@@ -108,7 +108,7 @@ def cmd_bound(args, out):
     if report.exact is not None:
         results["exact"] = str(report.exact)
         results["sandwich_holds"] = bool(report.ao_lower <= report.exact <= report.ao_upper)
-        results["theorem_holds"] = (report.theorem_bound - report.exact).sign() >= 0
+        results["theorem_holds"] = report.theorem_bound >= report.exact
     record = _record("bound", {"p": args.p, "q": args.q}, results)
     _emit(record, args.format, out)
     return 0

@@ -27,6 +27,15 @@ def stirling_first(n, k):
     return _stirling_rows[n][k]
 
 
+def _sign(x, y):
+    """Sign of x + y*sqrt(2) for integers x, y: the one order test of Q(sqrt 2)."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx * sy >= 0:
+        return sx or sy
+    # opposite signs: the larger of x^2 and 2 y^2 decides (they are never equal)
+    return sx if x * x > 2 * y * y else sy
+
+
 @functools.total_ordering
 class QSqrt2:
     """Exact element (x + y*sqrt(2))/d of Q(sqrt 2), with integers d > 0 and gcd(x, y, d) = 1."""
@@ -129,12 +138,7 @@ class QSqrt2:
 
     def sign(self):
         """Exact sign of x + y*sqrt(2); no floating point."""
-        x, y = self.x, self.y
-        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
-        if sx * sy >= 0:
-            return sx or sy
-        # opposite signs: the larger of x^2 and 2 y^2 decides (they are never equal)
-        return sx if x * x > 2 * y * y else sy
+        return _sign(self.x, self.y)
 
     def is_rational(self):
         return self.y == 0
@@ -152,7 +156,8 @@ class QSqrt2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        # self < o iff (x d' - x' d) + (y d' - y' d) sqrt2 < 0: no difference is built or reduced
+        return _sign(self.x * o.d - o.x * self.d, self.y * o.d - o.y * self.d) < 0
 
     def __float__(self):
         return self.x / self.d + self.y / self.d * math.sqrt(2)

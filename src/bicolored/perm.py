@@ -119,31 +119,17 @@ def total_cycles(t):
 def partitions(n):
     """All partitions of n as CycleType values, reverse-lexicographic part order.
 
-    Iterative, in multiplicity form: counts maps each part to its multiplicity, and
-    its keys, listed in decreasing order in `parts`, are the distinct parts. Each step
-    takes one copy of the smallest part i > 1, joins it to the 1s and refills that
-    amount greedily with parts i - 1 and one remainder.
+    Walked as a tree, like the count kernel's: parts in decreasing order with one branch
+    per multiplicity, most copies first, so each counts dict lists its parts largest first.
     """
-    counts = {n: 1} if n else {}
-    parts = [n] if n else []
-    yield CycleType(n, counts)
-    while parts and parts[0] > 1:
-        spare = 0
-        if parts[-1] == 1:
-            parts.pop()
-            spare = counts.pop(1)
-        i = parts[-1]
-        counts[i] -= 1
-        if not counts[i]:
-            del counts[i]
-            parts.pop()
-        j, spare = i - 1, spare + i
-        counts[j], rest = divmod(spare, j)
-        parts.append(j)
-        if rest:
-            counts[rest] = 1
-            parts.append(rest)
-        yield CycleType(n, counts)
+    def walk(m, top, counts):
+        # every way to fill the m points left with parts <= top
+        if not m:
+            yield CycleType(n, counts)
+        for s in range(min(top, m), 0, -1):
+            for c in range(m // s, 0, -1):
+                yield from walk(m - c * s, s - 1, {**counts, s: c})
+    return walk(n, n, {})
 
 
 def class_size(t):

@@ -321,7 +321,7 @@ def suite_bounds(rng):
     ok = True
     for p in range(1, 13):
         for q in range(1, 13):
-            if (theorem_bound(p, q) - count_exact(p, q)).sign() < 0:
+            if theorem_bound(p, q) < count_exact(p, q):
                 ok = False
     checks.append(("character bound dominates the count, p,q <= 12, exact sign", ok, ""))
 

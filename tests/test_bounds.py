@@ -340,6 +340,9 @@ def test_tail_ratio_limit():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         tail_ratio(0, 0)
+    for k in (-1, -10):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            tail_ratio(1, k)
 
 
 def test_tail_matches_exact_ratio():

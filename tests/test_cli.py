@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bicolored import exact, verify
+from bicolored import bounds, exact, verify
 from bicolored.cli import build_parser, main
 
 
@@ -69,6 +69,15 @@ def test_bound_json(capsys):
     # the reversed shape is the known failing side of the doubled bound
     code, out, _ = run_cli(capsys, "bound", "3", "4", "--format", "json")
     assert json.loads(out)["results"]["sandwich_holds"] is False
+
+
+def test_bound_json_reports_a_failing_theorem(capsys, monkeypatch):
+    # a bound a hair below the exact count 87 is a failure only an exact comparison sees
+    monkeypatch.setattr(bounds, "theorem_bound",
+                        lambda p, q: exact.QSqrt2(87) - Fraction(1, 10 ** 30))
+    code, out, _ = run_cli(capsys, "bound", "4", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["theorem_holds"] is False
 
 
 def test_bound_beyond_count_cap(capsys):

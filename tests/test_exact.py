@@ -268,6 +268,11 @@ def _random_pair(rng):
     return FractionPair(a, b)
 
 
+def _assert_order(x, y, s):
+    """x and y compare as s, the sign of x - y, says, with each of <, <=, > and >=."""
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0), (x, y, s)
+
+
 def test_qsqrt2_matches_fraction_pair():
     rng = random.Random(23)
     # units of norm -1 and +1, an element of norm -1/4, and a rational
@@ -284,6 +289,12 @@ def test_qsqrt2_matches_fraction_pair():
         _assert_matches(x * y, xo * yo)
         assert x.sign() == xo.sign()
         assert (x - y).sign() == (xo - yo).sign()
+        _assert_order(x, y, (xo - yo).sign())
+        _assert_order(x, QSqrt2(xo.a, xo.b), 0)
+        # rational operands on either side
+        for r in (yo.a, math.floor(yo.a)):
+            _assert_order(x, r, (xo - FractionPair(r)).sign())
+            _assert_order(r, x, (FractionPair(r) - xo).sign())
         assert (x == y) == ((xo.a, xo.b) == (yo.a, yo.b))
         if xo.a != 0 or xo.b != 0:
             negative_norms += xo.a * xo.a < 2 * xo.b * xo.b
@@ -292,6 +303,34 @@ def test_qsqrt2_matches_fraction_pair():
             for e in (-7, -2, -1, 0, 1, 2, 3, 9):
                 _assert_matches(x ** e, xo ** e)
     assert negative_norms > 50
+    # two consecutive Pell solutions x^2 - 2 y^2 = +-1 past 10^40: x - y sqrt2 =
+    # +-1/(x + y sqrt2) is a near-tie of about 10^-40, one above zero and one below
+    x, y = 1, 1
+    while x < 10 ** 40:
+        x, y = x + 2 * y, x + y
+    signs = []
+    for x, y in ((x, y), (x + 2 * y, x + y)):
+        s = FractionPair(x, -y).sign()
+        signs.append(s)
+        for a, b in ((x, QSqrt2(0, y)), (Fraction(x, y), SQRT2), (QSqrt2(x, 0, y), SQRT2),
+                     (QSqrt2(x, -y), 0)):
+            _assert_order(a, b, s)
+            _assert_order(b, a, -s)
+    assert sorted(signs) == [-1, 1]
+
+
+def test_qsqrt2_order_builds_nothing(monkeypatch):
+    # comparing two elements is one integer sign test: no QSqrt2 is built, no gcd taken
+    a, b = QSqrt2(3, -2, 7), QSqrt2(-5, 4, 11)   # about 0.0245 and 0.0597
+    calls = []
+    init, gcd = QSqrt2.__init__, math.gcd
+    monkeypatch.setattr(QSqrt2, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    results = (a < b, a <= b, a > b, a >= b, b < a, a < a, a <= a)
+    monkeypatch.undo()
+    assert calls == []
+    assert results == (True, True, False, False, False, False, True)
 
 
 def test_qsqrt2_canonical_form():

@@ -16,6 +16,7 @@ NAIVE_ORACLES = ["averaging formula vs literal average, p <= 7",
 H_CUTOFFS = "maximum sits at p = h+1 for h >= H_k, h <= 64, p <= 512"
 TAIL = ["tail ratio strictly decreasing over h = 5..60 at k = 0",
         "tail ratio decreasing for large h at every k <= 4"]
+BOUND_DOMINATES = "character bound dominates the count, p,q <= 12, exact sign"
 CONJUGATION = ["class function: c(pi s pi^-1) = c(s), exhaustive p <= 6",
                "cycle type is conjugation invariant, exhaustive n <= 5"]
 
@@ -147,6 +148,16 @@ def test_tail_checks_compare_exact_ratios(monkeypatch):
         assert ok == (verdict == "pass")
         for label in TAIL:
             assert line_for(lines, label) == "%s  asymptotics: %s" % (verdict, label)
+
+
+def test_bound_check_compares_exactly(monkeypatch):
+    # a bound a hair below the count fails, one equal to it passes
+    tiny = Fraction(1, 10 ** 30)
+    for shift, verdict in [(tiny, "FAIL"), (0, "pass")]:
+        monkeypatch.setattr(verify, "theorem_bound", lambda p, q, shift=shift:
+                            exact.QSqrt2(enumeration.count_exact(p, q)) - shift)
+        lines = collect(["bounds"])[1]
+        assert line_for(lines, BOUND_DOMINATES) == "%s  bounds: %s" % (verdict, BOUND_DOMINATES)
 
 
 def test_conjugation_invariant_on_small_groups():
