@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
 from .characters import _twisted_sum
-from .exact import QSqrt2, SQRT2, decimal_render, pow2
+from .exact import QSqrt2, _sign, decimal_render, pow2
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
@@ -88,11 +88,13 @@ def _falls(h, p, k):
     """Whether rho_p = a_{h,p+1}/a_{h,p} < 1, decided exactly; needs 1 <= h < p.
 
     rho_p = N / (D sqrt2^e) with N = (p+1) p^(p+1-h) (2^h+p+k), D = 2 (p+1-h) (p-1)^(p-h)
-    and e = 2p+k+1+h, so rho_p < 1 iff N/D < sqrt2^e.
+    and e = 2p+k+1+h = 2x+y, so rho_p < 1 iff D sqrt2^e - N > 0: the sign of
+    (D 2^x - N) + 0 sqrt2 for y = 0 and of -N + D 2^x sqrt2 for y = 1.
     """
     n = (p + 1) * p ** (p + 1 - h) * ((1 << h) + p + k)
     d = 2 * (p + 1 - h) * (p - 1) ** (p - h)
-    return QSqrt2(n, 0, d) < SQRT2 ** (2 * p + k + 1 + h)
+    x, y = divmod(2 * p + k + 1 + h, 2)
+    return (_sign(-n, d << x) if y else _sign((d << x) - n, 0)) > 0
 
 
 def _tail(h, k):

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, filterfalse
 from operator import add, lshift
 
-from .perm import type_tally
+from .perm import generators, type_tally
 
 DEGREE_CAP = 64   # count_exact refuses degrees beyond this without an override
 CENSUS_CAP = 20   # orbit_census covers 2^(p q) subsets; cap on p*q
@@ -129,18 +129,9 @@ def count_naive(p, q):
 
 
 def _row_images(r):
-    """Images of every r-bit column value under generators of S_r on its bits.
-
-    The generators are the transposition (0 1) and the cycle i -> i+1 mod r; at r = 2
-    they coincide, so the transposition alone is built.
-    """
-    perms = []
-    if r >= 2:
-        perms.append([1, 0] + list(range(2, r)))
-    if r >= 3:
-        perms.append([(i + 1) % r for i in range(r)])
-    return [[sum(1 << perm[i] for i in range(r) if x >> i & 1) for x in range(1 << r)]
-            for perm in perms]
+    """Images of every r-bit column value under `generators(r)`, point i on bit i-1."""
+    return [[sum(1 << (g[i] - 1) for i in range(r) if x >> i & 1) for x in range(1 << r)]
+            for g in generators(r)]
 
 
 def orbit_census(p, q, max_pq=CENSUS_CAP):

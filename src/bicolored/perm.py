@@ -119,16 +119,16 @@ def total_cycles(t):
 def partitions(n):
     """All partitions of n as CycleType values, reverse-lexicographic part order.
 
-    Walked as a tree, like the count kernel's: parts in decreasing order with one branch
-    per multiplicity, most copies first, so each counts dict lists its parts largest first.
+    Walked as a tree, like the count kernel's: parts >= 2 in decreasing order with one
+    branch per multiplicity, most copies first, then the m points left as fixed points, so
+    each counts dict lists its parts largest first.
     """
     def walk(m, top, counts):
         # every way to fill the m points left with parts <= top
-        if not m:
-            yield CycleType(n, counts)
-        for s in range(min(top, m), 0, -1):
+        for s in range(min(top, m), 1, -1):
             for c in range(m // s, 0, -1):
                 yield from walk(m - c * s, s - 1, {**counts, s: c})
+        yield CycleType(n, {**counts, 1: m})
     return walk(n, n, {})
 
 
@@ -146,6 +146,12 @@ def make_cycle(n, length):
         raise ValueError("need 1 <= length <= n")
     images = list(range(2, length + 1)) + [1] + list(range(length + 1, n + 1))
     return Permutation(images)
+
+
+def generators(n):
+    """(1 2) and (1 2 ... n) as image tuples, generating S_n: one at n = 2, none below."""
+    gens = [(2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)]
+    return gens[:max(0, min(n - 1, 2))]
 
 
 def disjoint(sigma, tau):

@@ -17,7 +17,7 @@ from .enumeration import (_count_by_classes, count_exact, count_naive, free_frac
                           free_fraction_lower_bound, orbit_census)
 from .exact import QSqrt2, SQRT2, pow2, rising_factorial
 from .perm import (Permutation, all_permutations, class_size, compose, cycle_type,
-                   disjoint, make_cycle, partitions, total_cycles, type_tally)
+                   disjoint, generators, make_cycle, partitions, total_cycles, type_tally)
 
 FIVE_BASES = [QSqrt2(2), QSqrt2(Fraction(1, 2)), SQRT2, QSqrt2(-1), QSqrt2(Fraction(3, 2))]
 
@@ -53,14 +53,13 @@ def _fixed_subsets(a, b):
 def _conjugation_invariant(n, f):
     """Whether f(pi s pi^-1) = f(s) for all pi, s in S_n, with f taken once per permutation.
 
-    Only pi = (1 2) and pi = (1 2 ... n) are tried: they generate S_n and conjugation is
-    an action, so f is invariant under every pi when it is under both. As image tuples,
+    Only pi in `generators(n)` are tried: they generate S_n and conjugation is an action,
+    so f is invariant under every pi when it is under each. As image tuples,
     (g s g^-1)(i) = g(s(g^-1(i))).
     """
     perms = list(itertools.permutations(range(1, n + 1)))
     value = {s: f(Permutation(s)) for s in perms}
-    gens = [(2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)] if n > 1 else []
-    for g in gens:
+    for g in generators(n):
         g_inv = sorted(range(1, n + 1), key=lambda j: g[j - 1])
         look_g = ((0,) + g).__getitem__
         for s in perms:

@@ -13,7 +13,7 @@ from bicolored.bounds import (BoundReport, HRow, _a_log2, _falls, _tail, a_log2_
                               tail_ratio, theorem_bound, verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
 from bicolored.enumeration import DEGREE_CAP, CapExceeded, OrbitCensus, count_exact, orbit_census
-from bicolored.exact import QSqrt2, parse_qsqrt2, pow2, rising_factorial
+from bicolored.exact import QSqrt2, SQRT2, parse_qsqrt2, pow2, rising_factorial
 from bicolored.verify import _a_exact
 
 
@@ -295,6 +295,29 @@ def test_falls_matches_exact_ratio():
                 n, d, e = rho(h, p, k)
                 assert ratio == QSqrt2(Fraction(n, d)) / pow2(Fraction(e, 2)), (h, p, k)
                 assert _falls(h, p, k) == (ratio < 1), (h, p, k)
+    # every step verify_H can take at h <= 64 up to p = 100, against the ring comparison
+    for k in range(8):
+        for h in range(1, 65):
+            for p in range(h + 1, 101):
+                assert _falls(h, p, k) == falls_in_ring(h, p, k), (h, p, k)
+
+
+def falls_in_ring(h, p, k):
+    """rho_p < 1 as `_falls` decided it before it passed its integers to `exact._sign`:
+    N/D and sqrt2^e built as QSqrt2 values, gcd-reduced, then compared."""
+    n, d, e = rho(h, p, k)
+    return QSqrt2(n, 0, d) < SQRT2 ** e
+
+
+def test_verify_H_builds_no_qsqrt2(monkeypatch):
+    # each ratio test is two integers handed to the one order test: no ring element
+    calls = []
+    init = QSqrt2.__init__
+    monkeypatch.setattr(QSqrt2, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    rows = [verify_H(k) for k in range(4)]
+    assert not calls
+    assert [sum(not r.at_first for r in k_rows) for k_rows in rows] == [4, 2, 1, 0]
 
 
 def lemma_factors(h, p, k):
@@ -343,6 +366,8 @@ def test_tail_ratio_limit():
     for k in (-1, -10):
         with pytest.raises(ValueError, match="k must be nonnegative"):
             tail_ratio(1, k)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            verify_H(k)
 
 
 def test_tail_matches_exact_ratio():

@@ -36,6 +36,10 @@ def test_count_edge_cases():
     assert count_exact(1, 1) == 2
     with pytest.raises(ValueError):
         count_exact(-1, 2)
+    with pytest.raises(ValueError):
+        count_naive(-1, 0)
+    with pytest.raises(ValueError):
+        orbit_census(0, -1)
 
 
 def test_count_matches_naive():

@@ -24,6 +24,8 @@ def test_stirling_small_values():
     assert stirling_first(0, 0) == 1
     assert stirling_first(5, 0) == 0
     assert stirling_first(5, 7) == 0
+    with pytest.raises(ValueError):
+        stirling_first(-1, 0)
 
 
 def test_stirling_counts_cycles():
@@ -47,6 +49,8 @@ def test_rising_factorial():
     assert rising_factorial(Fraction(3), 0) == 1
     assert rising_factorial(Fraction(3), 4) == 360
     assert rising_factorial(SQRT2, 2) == QSqrt2(2, 1)
+    with pytest.raises(ValueError):
+        rising_factorial(QSqrt2(1), -1)
 
 
 def test_pow2():
@@ -295,11 +299,14 @@ def test_qsqrt2_matches_fraction_pair():
         for r in (yo.a, math.floor(yo.a)):
             _assert_order(x, r, (xo - FractionPair(r)).sign())
             _assert_order(r, x, (FractionPair(r) - xo).sign())
+            _assert_matches(r - x, FractionPair(r) - xo)
         assert (x == y) == ((xo.a, xo.b) == (yo.a, yo.b))
         if xo.a != 0 or xo.b != 0:
             negative_norms += xo.a * xo.a < 2 * xo.b * xo.b
             _assert_matches(x.inverse(), xo.inverse())
             _assert_matches(y / x, yo / xo)
+            for r in (yo.a, math.floor(yo.a)):
+                _assert_matches(r / x, FractionPair(r) / xo)
             for e in (-7, -2, -1, 0, 1, 2, 3, 9):
                 _assert_matches(x ** e, xo ** e)
     assert negative_norms > 50

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from bicolored.perm import (Permutation, CycleType, all_permutations, class_size, compose,
-                            cycle_type, disjoint, make_cycle, partitions, total_cycles)
+                            cycle_type, disjoint, generators, make_cycle, partitions,
+                            total_cycles)
 
 
 def test_permutation_validation():
@@ -104,6 +105,25 @@ def test_make_cycle():
     assert make_cycle(5, 5) == Permutation.from_cycles(5, (1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
         make_cycle(3, 4)
+
+
+def test_generators_generate_the_symmetric_group():
+    # (1 2) and (1 2 ... n), one permutation at n = 2 and none below; closing them under
+    # composition reaches all n! image tuples
+    for n in range(8):
+        gens = generators(n)
+        assert len(gens) == max(0, min(n - 1, 2)), n
+        assert all(sorted(g) == list(range(1, n + 1)) for g in gens), n
+        identity = tuple(range(1, n + 1))
+        group, stack = {identity}, [identity]
+        while stack:
+            s = stack.pop()
+            for g in gens:
+                t = tuple(g[i - 1] for i in s)
+                if t not in group:
+                    group.add(t)
+                    stack.append(t)
+        assert len(group) == math.factorial(n), n
 
 
 def test_disjoint_and_compose():

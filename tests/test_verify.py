@@ -1,5 +1,6 @@
 """The verify suites themselves: labels, determinism, and failure reporting."""
 
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,9 @@ H_CUTOFFS = "maximum sits at p = h+1 for h >= H_k, h <= 64, p <= 512"
 TAIL = ["tail ratio strictly decreasing over h = 5..60 at k = 0",
         "tail ratio decreasing for large h at every k <= 4"]
 BOUND_DOMINATES = "character bound dominates the count, p,q <= 12, exact sign"
+RADICAL = "radical identity <(1-a)(1-a'),b> = 0, 300 random disjoint triples"
+GAPS = ["cycle-removal gap nonnegative, ell <= 7, q <= 9",
+        "harmonic cycle-count gap nonnegative, all types p <= 12"]
 CONJUGATION = ["class function: c(pi s pi^-1) = c(s), exhaustive p <= 6",
                "cycle type is conjugation invariant, exhaustive n <= 5"]
 
@@ -89,6 +93,19 @@ def test_fixed_subsets_check_fails_on_a_wrong_form(monkeypatch):
     ok, lines = collect(["cycleform"])
     assert not ok
     assert line_for(lines, FIXED_SUBSETS).startswith("FAIL")
+
+
+def test_cycleform_checks_fail_on_wrong_values(monkeypatch):
+    # a bilinear form that is never 0 and gaps that are always negative
+    monkeypatch.setattr(verify, "cycle_form_bilinear", lambda x, beta: 1)
+    monkeypatch.setattr(verify, "bound_1a_gap", lambda ell, p, tb: -1)
+    monkeypatch.setattr(verify, "bound_5_gap", lambda ta: -1)
+    ok, lines = collect(["cycleform"])
+    assert not ok
+    assert re.fullmatch(r"FAIL  cycleform: %s  \[nonzero at p=\d+ q=\d+\]" % re.escape(RADICAL),
+                        line_for(lines, RADICAL))
+    for label in GAPS:
+        assert line_for(lines, label) == "FAIL  cycleform: " + label
 
 
 def test_conjugation_checks_fail_on_a_non_class_function(monkeypatch):
