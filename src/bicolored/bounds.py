@@ -74,14 +74,16 @@ def growth_ratio(p, k):
     return Fraction(value * math.factorial(p) * math.factorial(q), 1 << (p * q))
 
 
-def _a_log2(h, p, k):
-    """log2 of the a_{h,p} product; -inf for the zero cases h < 0, h >= p and p = 1."""
+def _a(h, p, k):
+    """a_{h,p} = n / sqrt2^s exactly, as the integers (n, s); (0, 0) for the zero cases
+    h < 0, h >= p and p = 1. With m = p+k and R(h, m) = prod_{i<m} (2^h + i),
+    n = C(p,h) (p-1)^(p-h) R(h, m) and s = 2(p-h) + m(p+h).
+    """
     if h < 0 or h >= p or p == 1:
-        return float("-inf")
+        return 0, 0
     m = p + k
-    base = 1 << h
-    s = sum(math.log2(base + i) for i in range(m))
-    return math.log2(math.comb(p, h)) + (p - h) * (math.log2(p - 1) - 1 + m / 2) + s - p * m
+    n = math.comb(p, h) * (p - 1) ** (p - h) * math.prod(range(1 << h, (1 << h) + m))
+    return n, 2 * (p - h) + m * (p + h)
 
 
 def _falls(h, p, k):
@@ -98,23 +100,12 @@ def _falls(h, p, k):
 
 
 def _tail(h, k):
-    """The tail ratio t_h = a_{h+1,h+2}/a_{h,h+1} exactly, for h >= 1: with m = h+1+k and
-    R(h, m) = prod_{i<m} (2^h + i), a_{h,h+1} = (h+1)(h/2) sqrt2^m R(h, m) / 2^((h+1)m),
-    so t_h = sqrt2 (h+2) R(h+1, m+1) / (h R(h, m) 2^(2h+3+k)).
+    """The tail ratio t_h = a_{h+1,h+2}/a_{h,h+1} exactly, for h >= 1: n1 / (n0 sqrt2^e)
+    from `_a`, with e = s1 - s0 = 4h+2k+5 odd, so t_h = sqrt2 n1 / (n0 2^((e+1)/2)).
     """
-    m = h + 1 + k
-    n = (h + 2) * math.prod(range(2 << h, (2 << h) + m + 1))
-    return QSqrt2(0, n, h * math.prod(range(1 << h, (1 << h) + m)) << (2 * h + 3 + k))
-
-
-def a_log2_closed_form(h, k):
-    """log2 of the closed form of a_{h,h+1}: (h(h+1)/2) 2^((h+1+k)(-h-1/2)) (2^h)^rising."""
-    m = h + 1 + k
-    base = 1 << h
-    s = 0.0
-    for i in range(m):
-        s += math.log2(base + i)
-    return math.log2(h * (h + 1) / 2) + m * (-h - 0.5) + s
+    n0, s0 = _a(h, h + 1, k)
+    n1, s1 = _a(h + 1, h + 2, k)
+    return QSqrt2(0, n1, n0 << (s1 - s0 + 1) // 2)
 
 
 def verify_H(k, h_max=64, p_max=512):
@@ -135,13 +126,19 @@ def verify_H(k, h_max=64, p_max=512):
         p = h + 1
         while p < p_max and not _falls(h, p, k):
             p += 1
-        rows.append(HRow(h, p, _a_log2(h, p, k), p == h + 1) if p <= p_max
-                    else HRow(h, 0, float("-inf"), False))
+        if p > p_max:
+            rows.append(HRow(h, 0, float("-inf"), False))
+        else:  # n / 2^b, b = bits of n, is one rounded quotient in [1/2, 1] at any size
+            n, s = _a(h, p, k)
+            b = n.bit_length()
+            rows.append(HRow(h, p, math.log2(n / (1 << b)) + (b - s / 2), p == h + 1))
     return rows
 
 
 def h_constant(k):
     """The cutoff H_k: 12, 10, 7, then 1 from k = 3 on."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     return H_CONSTANTS.get(k, 1)
 
 

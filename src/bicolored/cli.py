@@ -117,6 +117,9 @@ def cmd_bound(args, out):
 def cmd_table(args, out):
     if args.p_step < 1:
         raise ValueError("table needs --p-step >= 1")
+    if min(args.p_min, args.p_min + args.k_min) < 1:  # each cell is (p, q) = (p, p + k)
+        raise ValueError("table needs --p-min >= 1 and --p-min + --k-min >= 1, got %d and %d"
+                         % (args.p_min, args.p_min + args.k_min))
     for side, low, high in (("p", args.p_min, args.p_max), ("k", args.k_min, args.k_max)):
         if low > high:
             raise ValueError("table needs --%s-min <= --%s-max, got %d > %d"

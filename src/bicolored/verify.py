@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 
 from . import exact
-from .bounds import (a_log2_closed_form, _a_log2, _tail, ao_bounds, growth_ratio, h_constant,
-                     ratio_table, theorem_bound, verify_H)
+from .bounds import (_a, _tail, ao_bounds, growth_ratio, h_constant, ratio_table, theorem_bound,
+                     verify_H)
 from .characters import (ClassFunctionTable, CyclicCharacter, avg_char, avg_char_naive,
                          char_eval, twisted_product, twisted_product_naive, verify_cyclic)
 from .cycleform import (GroupAlgebraElement, bound_1a_gap, bound_5_gap, bracket_prime_cycle,
@@ -403,31 +403,20 @@ def _a_exact(h, p, k):
 def suite_asymptotics(rng):
     checks = []
 
-    ok = _a_log2(5, 3, 0) == float("-inf") and _a_log2(-1, 3, 0) == float("-inf")
-    ok = ok and _a_log2(3, 3, 0) == float("-inf")
-    value = 2.0 ** _a_log2(1, 2, 0)
-    ok = ok and abs(value - 0.75) < 1e-12
+    ok = _a(5, 3, 0) == _a(-1, 3, 0) == _a(3, 3, 0) == (0, 0)
+    ok = ok and _a(1, 2, 0) == (12, 8)   # 12 / sqrt2^8 = 3/4
     checks.append(("a_{h,p} piecewise zeros and a_{1,2} = 3/4", ok, ""))
 
-    ok = True
-    for k in range(5):
-        for h in range(7):
-            for p in range(max(2, h + 1), 8):
-                got = _a_log2(h, p, k)
-                want = math.log2(float(_a_exact(h, p, k)))
-                ok = ok and abs(got - want) <= 1e-9 * max(1.0, abs(want))
-    checks.append(("log-domain terms match exact Q(sqrt 2) evaluation, p <= 7", ok, ""))
+    def matches(h, p, k):
+        n, s = _a(h, p, k)
+        return _a_exact(h, p, k) * SQRT2 ** s == n
 
-    ok = True
-    worst = 0.0
-    for k in range(5):
-        for h in range(1, 61):
-            d = abs(_a_log2(h, h + 1, k) - a_log2_closed_form(h, k))
-            scale = max(1.0, abs(a_log2_closed_form(h, k)))
-            worst = max(worst, d / scale)
-    ok = worst < 1e-9
-    checks.append(("a_{h,h+1} matches its closed form to 1e-9, h <= 60, k <= 4", ok,
-                   "worst %.2e" % worst))
+    ok = all(matches(h, p, k) for k in range(5) for h in range(7) for p in range(max(2, h + 1), 8))
+    checks.append(("a_{h,p} in integers equals its Q(sqrt 2) product, p <= 7", ok, ""))
+
+    ok = all(matches(h, h + 1, k) for k in range(5) for h in (20, 40, 60))
+    checks.append(("a_{h,h+1} in integers equals its Q(sqrt 2) product, h = 20, 40, 60, k <= 4",
+                   ok, ""))
 
     ok = True
     detail = ""

@@ -5,8 +5,8 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from bicolored.bounds import (a_log2_closed_form, ao_bounds, growth_ratio, h_constant,
-                              ratio_table, tail_ratio, theorem_bound, verify_H)
+from bicolored.bounds import (ao_bounds, growth_ratio, h_constant, ratio_table, tail_ratio,
+                              theorem_bound, verify_H)
 from bicolored.characters import (ClassFunctionTable, CyclicCharacter, avg_char,
                                   avg_char_naive, char_eval, twisted_product,
                                   twisted_product_naive, verify_cyclic)
@@ -203,8 +203,7 @@ def test_criterion_6_asymptotic_cutoffs():
         assert h_constant(k) == cutoff
         for row in verify_H(k, h_max=64, p_max=512):
             if row.h >= cutoff:
-                first = a_log2_closed_form(row.h, k)
-                assert row.at_first or abs(row.max_log2 - first) <= 1e-6 * abs(first)
+                assert row.at_first, (k, row)
     values = [tail_ratio(h, 0) for h in range(5, 61)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert time.monotonic() - start < 30.0

@@ -3,14 +3,15 @@
 import inspect
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from bicolored import exact
-from bicolored.bounds import (BoundReport, HRow, _a_log2, _falls, _tail, a_log2_closed_form,
-                              ao_bounds, bound_report, growth_ratio, h_constant, ratio_table,
-                              tail_ratio, theorem_bound, verify_H)
+from bicolored.bounds import (BoundReport, HRow, _a, _falls, _tail, ao_bounds, bound_report,
+                              growth_ratio, h_constant, ratio_table, tail_ratio, theorem_bound,
+                              verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
 from bicolored.enumeration import DEGREE_CAP, CapExceeded, OrbitCensus, count_exact, orbit_census
 from bicolored.exact import QSqrt2, SQRT2, parse_qsqrt2, pow2, rising_factorial
@@ -184,19 +185,15 @@ def test_growth_ratio():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_a_log2_zero_cases():
-    assert _a_log2(3, 3, 0) == float("-inf")
-    assert _a_log2(5, 3, 1) == float("-inf")
-    assert _a_log2(0, 1, 0) == float("-inf")
-    assert _a_log2(2, 6, 1) > float("-inf")
-
-
-def test_a_log2_closed_form_at_first_p():
+def test_a_matches_exact():
+    for h, p, k in [(3, 3, 0), (5, 3, 1), (0, 1, 0), (-1, 3, 0)]:
+        assert _a(h, p, k) == (0, 0), (h, p, k)
+    assert _a(1, 2, 0) == (12, 8)  # 12 / sqrt2^8 = 3/4
     for k in range(5):
-        for h in range(1, 41):
-            direct = _a_log2(h, h + 1, k)
-            closed = a_log2_closed_form(h, k)
-            assert abs(direct - closed) < 1e-9 * max(1.0, abs(closed))
+        for h in range(20):
+            for p in range(max(2, h + 1), 40):
+                n, s = _a(h, p, k)
+                assert _a_exact(h, p, k) * SQRT2 ** s == n, (h, p, k)
 
 
 def test_verify_H_flags():
@@ -262,29 +259,41 @@ def test_verify_H_matches_float_scan():
                     (h_max, p_max, k, row, old)
                 if old.argmax_p == 0:
                     assert row.max_log2 == float("-inf")
-                elif row.at_first:  # the same arithmetic as the generator's first term
-                    assert row.max_log2 == old.max_log2, (h_max, p_max, k, row)
                 else:
                     assert math.isclose(row.max_log2, old.max_log2, rel_tol=1e-12, abs_tol=0)
 
 
-def test_a_log2_matches_incremental_terms():
-    for k in range(5):
-        for h in range(20):
-            terms = a_log2_terms(h, k)
-            for p in range(40):
-                want = next(terms) if p > h else float("-inf")
-                got = _a_log2(h, p, k)
-                if math.isinf(want):
-                    assert got == want, (h, p, k)
-                else:
-                    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (h, p, k)
+def log2_exact(value):
+    """log2 of a positive QSqrt2 value to 60 digits, by decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = (Decimal(value.x) + Decimal(value.y) * Decimal(2).sqrt()) / value.d
+        return +(x.ln() / Decimal(2).ln())
+
+
+def test_verify_H_max_log2_matches_exact():
+    # max_log2 is the float of log2 a_{h,argmax_p}: the float sum of logs it replaced was
+    # up to 4.0e-12 away, one rounded quotient of `_a`'s integers is within 2e-15
+    for k in range(8):
+        for row in verify_H(k, 64, 512):
+            want = log2_exact(_a_exact(row.h, row.argmax_p, k))
+            assert abs(Decimal(row.max_log2) - want) < Decimal("1e-14"), (k, row)
 
 
 def rho(h, p, k):
     """rho_p = a_{h,p+1}/a_{h,p} as (N, D, e), rho_p = N / (D sqrt2^e)."""
     return ((p + 1) * p ** (p + 1 - h) * ((1 << h) + p + k),
             2 * (p + 1 - h) * (p - 1) ** (p - h), 2 * p + k + 1 + h)
+
+
+def test_a_agrees_with_falls_ratio():
+    # a_{h,p+1}/a_{h,p} = N / (D sqrt2^e) on `_a`'s integers, at sizes `_a_exact` is too slow for
+    for k in range(8):
+        for h in range(1, 65):
+            terms = [_a(h, p, k) for p in range(h + 1, 102)]
+            for p, (n0, s0), (n1, s1) in zip(range(h + 1, 101), terms, terms[1:]):
+                n, d, e = rho(h, p, k)
+                assert n1 * d == 2 * n * n0 and s1 - s0 == e + 2, (h, p, k)
 
 
 def test_falls_matches_exact_ratio():
@@ -354,6 +363,9 @@ def test_ratio_decreases_in_p():
 
 def test_h_constant():
     assert [h_constant(k) for k in range(6)] == [12, 10, 7, 1, 1, 1]
+    for k in (-1, -10):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            h_constant(k)
 
 
 def test_tail_ratio_limit():
@@ -376,9 +388,16 @@ def test_tail_matches_exact_ratio():
             assert _tail(h, k) == _a_exact(h + 1, h + 2, k) / _a_exact(h, h + 1, k), (h, k)
 
 
+def a_log2(h, p, k):
+    """log2 a_{h,p} as a float sum of logs, for 1 <= h < p: the evaluator `_a` replaced."""
+    m = p + k
+    s = sum(math.log2((1 << h) + i) for i in range(m))
+    return math.log2(math.comb(p, h)) + (p - h) * (math.log2(p - 1) - 1 + m / 2) + s - p * m
+
+
 def tail_ratio_log2(h, k):
     """t_h as 2 to a difference of float log2 sums, as `tail_ratio` computed it before `_tail`."""
-    return 2.0 ** (_a_log2(h + 1, h + 2, k) - _a_log2(h, h + 1, k))
+    return 2.0 ** (a_log2(h + 1, h + 2, k) - a_log2(h, h + 1, k))
 
 
 def test_tail_ratio_matches_log_domain():

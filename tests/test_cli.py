@@ -183,6 +183,16 @@ def test_table_rejects_inverted_ranges(capsys):
         assert err.startswith("bicolored:") and pair in err, argv
 
 
+def test_table_rejects_nonpositive_sides(capsys):
+    # p = 0 or q = p + k = 0 is refused by the flags the user typed, not by ao_bounds' p, q
+    for argv, got in ((["--p-min", "0"], "got 0 and 0"), (["--p-min", "-2"], "got -2 and -2"),
+                      (["--p-min", "2", "--k-min", "-2"], "got 2 and 0")):
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("bicolored: table needs --p-min >= 1 and --p-min + --k-min >= 1")
+        assert got in err, argv
+
+
 def test_orbits(capsys):
     code, out, _ = run_cli(capsys, "orbits", "2", "2", "--format", "json")
     assert code == 0

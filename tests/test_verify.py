@@ -17,6 +17,9 @@ NAIVE_ORACLES = ["averaging formula vs literal average, p <= 7",
 H_CUTOFFS = "maximum sits at p = h+1 for h >= H_k, h <= 64, p <= 512"
 TAIL = ["tail ratio strictly decreasing over h = 5..60 at k = 0",
         "tail ratio decreasing for large h at every k <= 4"]
+A_EXACT = ["a_{h,p} piecewise zeros and a_{1,2} = 3/4",
+           "a_{h,p} in integers equals its Q(sqrt 2) product, p <= 7",
+           "a_{h,h+1} in integers equals its Q(sqrt 2) product, h = 20, 40, 60, k <= 4"]
 BOUND_DOMINATES = "character bound dominates the count, p,q <= 12, exact sign"
 RADICAL = "radical identity <(1-a)(1-a'),b> = 0, 300 random disjoint triples"
 GAPS = ["cycle-removal gap nonnegative, ell <= 7, q <= 9",
@@ -165,6 +168,18 @@ def test_tail_checks_compare_exact_ratios(monkeypatch):
         assert ok == (verdict == "pass")
         for label in TAIL:
             assert line_for(lines, label) == "%s  asymptotics: %s" % (verdict, label)
+
+
+def test_a_checks_compare_exact_values(monkeypatch):
+    # n one too large, or one factor 2 too many in sqrt2^s, fails the three checks of `_a`;
+    # verify_H and `_tail` read bounds._a, so every other check still passes
+    true_a = bounds._a
+    for patch in (lambda n, s: (n + 1, s), lambda n, s: (n, s + 2)):
+        monkeypatch.setattr(verify, "_a", lambda h, p, k, patch=patch: patch(*true_a(h, p, k)))
+        ok, lines = collect(["asymptotics"])
+        assert not ok
+        assert [line for line in lines if line.startswith("FAIL")] == \
+            ["FAIL  asymptotics: " + label for label in A_EXACT]
 
 
 def test_bound_check_compares_exactly(monkeypatch):
