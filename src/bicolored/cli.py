@@ -229,7 +229,7 @@ def build_parser():
     # a word starting with a digit or spelling sqrt2 after its "-" is a negative base,
     # not an option: argparse's own matcher takes only -N and -N.N
     s._negative_number_matcher = re.compile(r"^-(?:\d|sqrt2$)")
-    s.set_defaults(func=cmd_char)
+    s.set_defaults(func=cmd_char, error=s.error)  # arity errors print char's usage
 
     s = sub.add_parser("verify", help="run the property suites")
     # "all" and the sorted names of verify.SUITES, spelt out so that verify loads only when run
@@ -241,14 +241,19 @@ def build_parser():
     return parser
 
 
+_parser = None  # built by the first main call, reused by every later one
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.command == "char":
         if args.char_op == "twisted" and (args.q is None or args.zprime is None):
-            parser.error("char twisted needs p z q zprime")
+            args.error("char twisted needs p z q zprime")
         if args.char_op == "avg" and (args.q is not None or args.zprime is not None):
-            parser.error("char avg takes p z only")
+            args.error("char avg takes p z only")
     try:
         status = args.func(args, sys.stdout)
         sys.stdout.flush()

@@ -11,8 +11,9 @@ from .perm import generators, type_tally
 
 DEGREE_CAP = 64   # count_exact refuses degrees beyond this without an override
 CENSUS_CAP = 20   # orbit_census covers 2^(p q) subsets; cap on p*q
-# count_exact's work model, P(min(p,q)) max(p,q)^2 shift-adds: (36,36) is accepted
-# and takes about 2.2 s on a 2-vCPU Xeon, (30,64) about 2.0 s, (37,37) is refused
+# count_exact's work model, P(min(p,q)) max(p,q)^2, twice the kernel's shift-adds:
+# (36,36) is accepted and takes about 2.2 s on a 2-vCPU Xeon, (30,64) about 2.0 s,
+# (37,37) is refused
 COUNT_BUDGET = 25_000_000
 
 
@@ -82,9 +83,9 @@ def count_refusal(p, q, max_degree=DEGREE_CAP):
     """Why count_exact(p, q, max_degree) is refused as over a cap, or None if it runs.
 
     The caps are max(p, q) <= max_degree and the work model
-    P(min(p,q)) max(p,q)^2 <= COUNT_BUDGET, which bounds the shift-adds of the count
-    kernel. max_degree only lowers DEGREE_CAP, as the work model does not price the
-    longer integers of larger degrees.
+    P(min(p,q)) max(p,q)^2 <= COUNT_BUDGET, twice the P(min) max^2/2 shift-adds of
+    the count kernel. max_degree only lowers DEGREE_CAP, as the work model does not
+    price the longer integers of larger degrees.
     """
     cap = min(max_degree, DEGREE_CAP)
     if max(p, q) > cap:

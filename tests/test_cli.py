@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from bicolored import bounds, exact, verify
+from bicolored import bounds, cli, exact, verify
 from bicolored.cli import build_parser, main
+from test_golden_output import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -229,8 +230,13 @@ def test_char_twisted(capsys):
     code, out, _ = run_cli(capsys, "char", "twisted", "2", "1/2", "2", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["value"] == "2+0*sqrt2"
-    with pytest.raises(SystemExit):
-        main(["char", "twisted", "2", "1/2"])
+    for argv in (["2", "1/2"], ["1", "2", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["char", "twisted", *argv])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "char twisted needs p z q zprime" in err, argv
+        assert err.startswith("usage: bicolored char "), err
 
 
 def test_char_negative_bases_parse_as_bases(capsys):
@@ -282,7 +288,32 @@ def test_char_avg_rejects_extra_arguments(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["char", "avg", "3", "2", "4", "5"])
     assert exc.value.code == 2
-    assert "char avg takes p z only" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "char avg takes p z only" in err
+    assert err.startswith("usage: bicolored char "), err
+
+
+def test_repeated_calls_reuse_one_parser_and_leak_nothing(capsys, monkeypatch):
+    # every golden invocation twice in one process, each followed by a refusal, a parse
+    # error, a help request or a char arity error, prints its golden stdout
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    detours = [(["count", "37", "37"], 2, None), (["verify", "--suite", "nope"], None, 2),
+               (["--help"], None, 0), (["char", "avg", "3", "2", "4", "5"], None, 2)]
+    for i, (argv, digest) in enumerate(GOLDEN * 2):
+        assert main(list(argv)) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        detour, status, exit_code = detours[i % len(detours)]
+        if exit_code is None:
+            assert main(detour) == status, detour
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(detour)
+            assert exc.value.code == exit_code, detour
+        capsys.readouterr()
+    assert builds == [1]
 
 
 def test_bound_prints_up_to_the_caps(capsys):
