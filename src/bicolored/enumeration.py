@@ -39,42 +39,40 @@ def _partition_count(n):
     return counts[n]
 
 
+def _cycle_types(p, q):
+    """(e, z_mu) per cycle type mu of S_p: e_r = sum_s gcd(r, s) c_s(mu) for r <= q and
+    z_mu = prod_s s^c_s c_s!, on its own walk of `perm.partitions`' tree shape. A node is a
+    type whose n points left are fixed; a child adds c copies of a part s below the last,
+    each one row add (gcd(r, s) - s on e_r, from e = [p] * q) and one multiply."""
+    rows = [[math.gcd(r, s) - s for r in range(1, q + 1)] for s in range(p + 1)]
+    stack = [(p, p + 1, [p] * q, 1)]
+    while stack:
+        n, top, e, z = stack.pop()
+        for s in range(2, min(top, n + 1)):
+            e_s, z_s = e, z
+            for c in range(1, n // s + 1):
+                e_s = list(map(add, e_s, rows[s]))
+                z_s *= s * c
+                stack.append((n - c * s, s, e_s, z_s))
+        yield e, z * math.factorial(n)
+
+
+def _h_row(e):
+    """h_0 .. h_len(e) by the shift-only recurrence n h_n = sum_{r<=n} h_(n-r) << e_r."""
+    h = [1]
+    for m in range(1, len(e) + 1):
+        h.append(sum(map(lshift, reversed(h), e)) // m)
+    return h
+
+
 @lru_cache(maxsize=None)
 def _count_by_classes(p, q):
-    # Burnside over S_p x S_q, with the sum over the cycle types lam of S_q done by
-    # the cycle index of S_q (Harary & Palmer, ch. 2): for each cycle type mu of S_p,
-    #   h_n = sum_{lam |- n} 2^<lam,mu> / z_lam,  h_0 = 1,
-    # counts the n-column multisets fixed by a row permutation of type mu, and
-    #   n h_n = sum_{r=1..n} h_(n-r) << e_r,  e_r = sum_s gcd(r,s) c_s(mu),
-    # so |B_u(p,q)| = sum_mu (p!/z_mu) h_q / p!, z_mu = prod_s s^c_s c_s!. The types mu
-    # are walked as a tree, parts in decreasing order with one branch per multiplicity,
-    # carrying e and z_mu down it; any order is exact, p <= q costs least,
-    # P(p) q^2/2 shift-adds with q + 1 big integers live.
-    gcds = [[math.gcd(r, s) for r in range(1, q + 1)] for s in range(p + 1)]
+    # Burnside over S_p x S_q, the sum over S_q by its cycle index (Harary & Palmer, ch. 2):
+    # h_n = _h_row(e)[n] = sum_{lam |- n} 2^<lam,mu> / z_lam counts the n-column multisets
+    # fixed by a type-mu row permutation; sum_mu (p!/z_mu) h_q / p! = |B_u(p,q)|, also for
+    # p > q, but p <= q costs least: P(p) q^2/2 shift-adds.
     order = math.factorial(p)
-    total = 0
-
-    def walk(n, s, e, z):
-        # every mu with parts <= s filling the n points left, after the parts above s
-        nonlocal total
-        s = min(s, n)
-        if s > 1:
-            row = gcds[s]
-            for c in range(1, n // s + 1):
-                walk(n - (c - 1) * s, s - 1, e, z)
-                e = list(map(add, e, row))
-                z *= s * c
-            walk(n % s, s - 1, e, z)
-            return
-        if n:   # s = 1: the rest are fixed points, gcd(r, 1) = 1
-            e = list(map(n.__add__, e))
-            z *= math.factorial(n)
-        h = [1]
-        for m in range(1, q + 1):
-            h.append(sum(map(lshift, reversed(h), e)) // m)
-        total += order // z * h[q]
-
-    walk(p, p, [0] * q, 1)
+    total = sum(order // z * _h_row(e)[q] for e, z in _cycle_types(p, q))
     assert total % order == 0
     return total // order
 

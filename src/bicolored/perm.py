@@ -119,9 +119,10 @@ def total_cycles(t):
 def partitions(n):
     """All partitions of n as CycleType values, reverse-lexicographic part order.
 
-    Walked as a tree, like the count kernel's: parts >= 2 in decreasing order with one
-    branch per multiplicity, most copies first, then the m points left as fixed points, so
-    each counts dict lists its parts largest first.
+    Walked as a tree: parts >= 2 in decreasing order with one branch per multiplicity, most
+    copies first, then the m points left as fixed points, so each counts dict lists its
+    parts largest first. `enumeration._cycle_types` walks this shape as separate code, so
+    the tests' oracle over this stream stays independent of the count kernel.
     """
     def walk(m, top, counts):
         # every way to fill the m points left with parts <= top

@@ -9,9 +9,9 @@ import pytest
 
 from bicolored import enumeration, perm
 from bicolored.enumeration import (CENSUS_CAP, COUNT_BUDGET, CapExceeded, _count_by_classes,
-                                   _partition_count, _row_images, count_exact, count_naive,
-                                   count_refusal, free_fraction, free_fraction_lower_bound,
-                                   orbit_census)
+                                   _cycle_types, _h_row, _partition_count, _row_images,
+                                   count_exact, count_naive, count_refusal, free_fraction,
+                                   free_fraction_lower_bound, orbit_census)
 from bicolored.perm import all_permutations, class_size, cycle_type, partitions, type_tally
 
 # row p = 1..8 of |B_u(p, q)| for q = 1..4, checked against direct subset orbits
@@ -242,6 +242,7 @@ def test_count_kernel_reads_no_partition_stream(monkeypatch):
     # stream, class sizes and CycleType all raising; the oracle walks them before that
     pairs = [(0, 5), (7, 7), (12, 20), (20, 12)]
     want = [_falling_factorial_kernel(p, q) for p, q in pairs]
+    types = list(_cycle_types(12, 20))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the count kernel reads the partition stream")
@@ -251,6 +252,65 @@ def test_count_kernel_reads_no_partition_stream(monkeypatch):
         if hasattr(enumeration, name):
             monkeypatch.setattr(enumeration, name, refuse)
     assert [_count_by_classes.__wrapped__(p, q) for p, q in pairs] == want
+    assert list(_cycle_types(12, 20)) == types
+
+
+def _types_from_partitions(p, q):
+    """Sorted (e, z_mu) over perm.partitions(p), e_r = sum_s gcd(r, s) c_s for r <= q."""
+    return sorted((tuple(sum(math.gcd(r, s) * c for s, c in mu.counts.items())
+                         for r in range(1, q + 1)), math.factorial(p) // class_size(mu))
+                  for mu in partitions(p))
+
+
+def test_cycle_types_match_partitions():
+    for p in range(15):
+        order = math.factorial(p)
+        for q in (0, 1, 6, 20):
+            stream = []
+            for e, z in _cycle_types(p, q):
+                stream.append((e[:], z))
+                e[:] = [-1] * q   # the walk reads no yielded e again
+            assert len(stream) == _partition_count(p), (p, q)
+            assert all(order % z == 0 for _, z in stream)
+            assert sum(order // z for _, z in stream) == order   # the class equation
+            assert sorted((tuple(e), z) for e, z in stream) == _types_from_partitions(p, q)
+    # one node per type: the walk yields P(p) items and nothing between them
+    for p in range(31):
+        assert sum(1 for _ in _cycle_types(p, 0)) == _partition_count(p), p
+
+
+def _column_orbit_sizes(mu):
+    """Orbit sizes of one permutation of type mu on the 2^n columns {0,1}^n, point i on bit i."""
+    images, start = [], 0
+    for s, c in mu.counts.items():
+        for _ in range(c):
+            images += [start + (i + 1) % s for i in range(s)]
+            start += s
+    act = [sum(1 << images[i] for i in range(mu.n) if x >> i & 1) for x in range(1 << mu.n)]
+    seen, sizes = set(), []
+    for x in range(1 << mu.n):
+        size = 0
+        while x not in seen:
+            seen.add(x)
+            x = act[x]
+            size += 1
+        if size:
+            sizes.append(size)
+    return sizes
+
+
+def test_h_row_counts_fixed_column_multisets():
+    # h_n(mu) = [t^n] prod_i 1/(1 - t^l_i) over the orbits l_i of mu on the columns,
+    # expanded by the coin recurrence, for every type of p <= 6 and n <= 20
+    types = [mu for p in range(7) for mu in partitions(p)]
+    assert len(types) == 30
+    for mu in types:
+        coeffs = [1] + [0] * 20
+        for size in _column_orbit_sizes(mu):
+            for n in range(size, 21):
+                coeffs[n] += coeffs[n - size]
+        e = [sum(math.gcd(r, s) * c for s, c in mu.counts.items()) for r in range(1, 21)]
+        assert _h_row(e) == coeffs, mu.counts
 
 
 def test_count_matches_class_sum():
