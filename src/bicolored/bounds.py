@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
 from .characters import _twisted_sum
-from .exact import QSqrt2, _sign, decimal_render, pow2
+from .exact import QSqrt2, _sign, decimal_render, pow2, stirling_first
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
@@ -19,19 +19,46 @@ HRow = namedtuple("HRow", "h argmax_p max_log2 at_first")
 
 def theorem_bound(p, q):
     """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2):
-    sum_{k,l} c(p,k) c(q,l) 2^(kl) sqrt2^(q(p-k)) / (p! q!).
+    sum_{k,l} c(p,k) c(q,l) 2^(kl) sqrt2^(q(p-k)) / (p! q!), the first value of the run
+    `theorem_bounds(p, q)`.
 
-    `_twisted_sum` sums out one side and chooses the Stirling row it reads.
-    Raises CapExceeded for p*q > DEGREE_CAP^2, which bounds its integers and keeps that
-    row within DEGREE_CAP, or for q > DEGREE_CAP, kept because tests pin it: (1, 65) is
-    refused, `bound 3 65` exits 2, `bound 65 3` exits 0.
+    Raises CapExceeded for p*q > DEGREE_CAP^2, which bounds its integers and keeps the
+    Stirling row it reads within DEGREE_CAP, or for q > DEGREE_CAP, kept because tests pin
+    it: (1, 65) is refused, `bound 3 65` exits 2, `bound 65 3` exits 0.
+    """
+    return next(theorem_bounds(p, q))
+
+
+def theorem_bounds(p, q):
+    """theorem_bound(p, q), theorem_bound(p, q + 1), ... lazily, each q capped as it is reached.
+
+    Summed over the cycle count l of S_q, the bound is sum_k t_k sqrt2^((p-k)q) / (p! q!)
+    with t_k = c(p,k) R_k(q) and R_k(q) = prod_{j<q} (2^k + j): the integers A and B of
+    (A + B sqrt2) / (p! q!) sum t_k << floor((p-k)q/2) split by the parity of (p-k)q, and the
+    step to q+1 multiplies each t_k by 2^k + q. Row p is out of reach for p > DEGREE_CAP,
+    where each q is one `_twisted_sum`, which reads row q.
     """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
-    if q > DEGREE_CAP or p * q > DEGREE_CAP * DEGREE_CAP:
-        raise CapExceeded("theorem_bound needs q <= %d and p*q <= %d"
-                          % (DEGREE_CAP, DEGREE_CAP * DEGREE_CAP))
-    return pow2(Fraction(p * q, 2)) * _twisted_sum(p, Fraction(1, 2), q, pow2(Fraction(q, 2)))
+    terms = None
+    while True:
+        if q > DEGREE_CAP or p * q > DEGREE_CAP * DEGREE_CAP:
+            raise CapExceeded("theorem_bound needs q <= %d and p*q <= %d"
+                              % (DEGREE_CAP, DEGREE_CAP * DEGREE_CAP))
+        if p > DEGREE_CAP:
+            yield (pow2(Fraction(p * q, 2))
+                   * _twisted_sum(p, Fraction(1, 2), q, pow2(Fraction(q, 2))))
+        else:
+            if terms is None:  # c(p,0) = 0 for p >= 1: k runs over 1..p
+                terms = [stirling_first(p, k) * math.prod(range(1 << k, (1 << k) + q))
+                         for k in range(1, p + 1)]
+            parts = [0, 0]
+            for k, t in enumerate(terms, 1):
+                shift, odd = divmod((p - k) * q, 2)
+                parts[odd] += t << shift
+            yield QSqrt2(*parts, math.factorial(p) * math.factorial(q))
+            terms = [t * ((1 << k) + q) for k, t in enumerate(terms, 1)]
+        q += 1
 
 
 def ao_bounds(p, q):
@@ -55,14 +82,17 @@ def bound_report(p, q, max_degree=DEGREE_CAP):
 
 
 def ratio_table(p_values, k_values):
-    """Decimal table of ao_upper(p, p+k) / theorem_bound(p, p+k), six places."""
+    """Decimal table of ao_upper(p, p+k) / theorem_bound(p, p+k), six places; one
+    `theorem_bounds` run per row serves its consecutive k."""
     rows = []
     for p in p_values:
-        row = []
+        row, last = [], None
         for k in k_values:
-            _, upper = ao_bounds(p, p + k)
-            ratio = QSqrt2(upper) / theorem_bound(p, p + k)
-            row.append(decimal_render(ratio, 6))
+            _, upper = ao_bounds(p, p + k)  # first: its refusal of q > DEGREE_CAP is pinned
+            if last is None or k != last + 1:  # a row's run serves consecutive k
+                run = theorem_bounds(p, p + k)
+            last = k
+            row.append(decimal_render(QSqrt2(upper) / next(run), 6))
         rows.append(row)
     return rows
 

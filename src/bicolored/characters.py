@@ -3,14 +3,12 @@
 import math
 
 from .enumeration import DEGREE_CAP, CapExceeded
-from .exact import QSqrt2, stirling_first
+from .exact import _ONE, QSqrt2, stirling_first
 from .perm import cycle_type, total_cycles, type_tally
 
 # twisted_refusal's work model: `char twisted 64 3/2 64 sqrt2` is 3.5e11 steps, and
 # shapes at the budget take 0.04 to 0.13 s on a 2-vCPU Xeon
 TWISTED_BUDGET = 10 ** 13
-
-_ONE = QSqrt2(1)
 
 
 class CyclicCharacter:
@@ -127,6 +125,8 @@ def _twisted_sum(p, z, q, zprime):
     prod_{j<m} (x + j t + y sqrt2) / t^m, one math.prod when y = 0. Term k lies over s^k d_b^m
     with s = d^m d_a, so Horner steps A <- A s + c(n,k) N_k, N_k the numerator of a^k times
     that product, keep the sum as (A + B sqrt2)/(s^n d_b^m n! m!) in integers, reduced once.
+    `char twisted` reads it; the theorem bound only for p > DEGREE_CAP, past its own run's
+    reach (`bounds.theorem_bounds`).
     """
     w, wp = QSqrt2._coerce(z).inverse(), QSqrt2._coerce(zprime).inverse()
     row_p = p <= q or (p <= DEGREE_CAP and not w.y and wp.y)

@@ -99,25 +99,29 @@ class QSqrt2:
     __rmul__ = __mul__
 
     def inverse(self):
-        # d/(x + y sqrt2) = d (x - y sqrt2)/n with the norm n = x^2 - 2 y^2; a negative n
+        return _ONE._over(self)
+
+    def _over(self, o):
+        # (x + y sqrt2)/d over (u + v sqrt2)/e is e (x + y sqrt2)(u - v sqrt2)/(d n), with
+        # the norm n = u^2 - 2 v^2, in one constructor call, so one reduction; a negative n
         # is flipped into the numerator by the constructor
-        x, y, d = self.x, self.y, self.d
-        n = x * x - 2 * y * y
+        x, y, u, v = self.x, self.y, o.x, o.y
+        n = u * u - 2 * v * v
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        return QSqrt2(d * x, -d * y, n)
+        return QSqrt2(o.d * (x * u - 2 * y * v), o.d * (y * u - x * v), self.d * n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self._over(o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o._over(self)
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -175,6 +179,7 @@ class QSqrt2:
 
 
 SQRT2 = QSqrt2(0, 1)
+_ONE = QSqrt2(1)
 
 # an optional sign, n or n/d, then optionally a sign, n or n/d and *sqrt2
 _QS_RE = re.compile(r"(-?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?\*sqrt2)?")

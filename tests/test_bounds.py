@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from bicolored import exact
+from bicolored import cli, exact
 from bicolored.bounds import (BoundReport, HRow, _a, _falls, _tail, ao_bounds, bound_report,
                               growth_ratio, h_constant, ratio_table, tail_ratio, theorem_bound,
-                              verify_H)
+                              theorem_bounds, verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
 from bicolored.enumeration import DEGREE_CAP, CapExceeded, OrbitCensus, count_exact, orbit_census
-from bicolored.exact import QSqrt2, SQRT2, parse_qsqrt2, pow2, rising_factorial
+from bicolored.exact import QSqrt2, SQRT2, decimal_render, parse_qsqrt2, pow2, rising_factorial
 from bicolored.verify import _a_exact
 
 
@@ -76,6 +76,28 @@ def test_theorem_bound_matches_naive_sum():
     for p in range(1, 6):
         for q in range(1, 6):
             assert theorem_bound(p, q) == twisted_bound(p, q, twisted_product_naive), (p, q)
+
+
+def test_theorem_bounds_run_matches_twisted_product():
+    # each run covers both parities of q; those with p <= 64 also cross from p > q to
+    # p <= q, and p = 65, 70 take the branch that cannot read row p
+    for p, q0 in [(1, 1), (2, 1), (17, 15), (48, 46), (64, 61), (65, 2), (70, 3)]:
+        run = theorem_bounds(p, q0)
+        for q in range(q0, q0 + 4):
+            assert next(run) == twisted_bound(p, q), (p, q)
+
+
+def test_theorem_bounds_caps_each_q_as_reached():
+    run = theorem_bounds(64, 60)
+    assert [next(run) for _ in range(5)] == [theorem_bound(64, q) for q in range(60, 65)]
+    with pytest.raises(CapExceeded):
+        next(run)  # q = 65
+    run = theorem_bounds(65, 62)
+    assert [next(run) for _ in range(2)] == [theorem_bound(65, 62), theorem_bound(65, 63)]
+    with pytest.raises(CapExceeded):
+        next(run)  # p*q = 4160
+    with pytest.raises(ValueError):
+        next(theorem_bounds(3, 0))
 
 
 def test_theorem_bound_caps():
@@ -174,6 +196,19 @@ def test_ratio_table_shape():
     for r in rows:
         for cell in r:
             float(cell)  # every cell is a fixed-point decimal
+
+
+def test_ratio_table_runs_match_cells(capsys):
+    def cell(p, k):
+        return decimal_render(QSqrt2(ao_bounds(p, p + k)[1]) / theorem_bound(p, p + k), 6)
+    # p = 66 is past row p's reach; then k out of order, each jump opening a new run
+    assert cli.main(["table", "--format", "csv", "--p-min", "66", "--p-max", "66",
+                     "--k-min", "-60", "--k-max", "-58"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",") == (
+        ["p=66"] + [cell(66, k) for k in range(-60, -57)])
+    k_values = [4, 0, 1, 3, 2]
+    assert ratio_table([5, 12], k_values) == [[cell(p, k) for k in k_values] for p in [5, 12]]
+    assert ratio_table(range(3, 6), range(0)) == [[], [], []]
 
 
 def test_growth_ratio():

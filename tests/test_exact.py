@@ -108,6 +108,26 @@ def test_qsqrt2_pow_and_div():
         QSqrt2(0).inverse()
 
 
+def test_qsqrt2_division_is_product_with_inverse():
+    rng = random.Random(32)
+
+    def element():
+        return QSqrt2(rng.randint(-10 ** 30, 10 ** 30), rng.choice([0, 1, -7, 10 ** 25]),
+                      rng.randint(1, 10 ** 20))
+    for _ in range(300):
+        a, b = element(), element()
+        if b == 0:
+            continue
+        assert a / b == a * b.inverse(), (a, b)
+    # norms of either sign: 3^2 - 2 > 0, 1 - 2 < 0
+    for b in (QSqrt2(3, 1, 5), QSqrt2(1, 1), QSqrt2(-1, 1, 3)):
+        assert 7 / b == b.inverse() * 7 and Fraction(2, 3) / b == b.inverse() * Fraction(2, 3)
+        assert b / b == 1
+    for a in (QSqrt2(1, 1), 5):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero in Q\\(sqrt 2\\)"):
+            a / QSqrt2(0)
+
+
 def test_am_gm_inequality():
     for a in range(1, 21):
         for b in range(1, 21):
