@@ -5,8 +5,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
-from .characters import _twisted_sum
-from .exact import QSqrt2, _sign, decimal_render, pow2, stirling_first
+from .exact import QSqrt2, _rising, _sign, decimal_render, stirling_first
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
@@ -35,8 +34,9 @@ def theorem_bounds(p, q):
     Summed over the cycle count l of S_q, the bound is sum_k t_k sqrt2^((p-k)q) / (p! q!)
     with t_k = c(p,k) R_k(q) and R_k(q) = prod_{j<q} (2^k + j): the integers A and B of
     (A + B sqrt2) / (p! q!) sum t_k << floor((p-k)q/2) split by the parity of (p-k)q, and the
-    step to q+1 multiplies each t_k by 2^k + q. Row p is out of reach for p > DEGREE_CAP,
-    where each q is one `_twisted_sum`, which reads row q.
+    step to q+1 multiplies each t_k by 2^k + q. Row p is out of reach for p > DEGREE_CAP:
+    there each q sums out row p instead, sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q), one
+    `_rising` per l with sqrt2^q = sx + sy sqrt2.
     """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
@@ -45,9 +45,11 @@ def theorem_bounds(p, q):
         if q > DEGREE_CAP or p * q > DEGREE_CAP * DEGREE_CAP:
             raise CapExceeded("theorem_bound needs q <= %d and p*q <= %d"
                               % (DEGREE_CAP, DEGREE_CAP * DEGREE_CAP))
-        if p > DEGREE_CAP:
-            yield (pow2(Fraction(p * q, 2))
-                   * _twisted_sum(p, Fraction(1, 2), q, pow2(Fraction(q, 2))))
+        if p > DEGREE_CAP:  # c(q,0) = 0 for q >= 1: l runs over 1..q
+            sx, sy = (0, 1 << q // 2) if q % 2 else (1 << q // 2, 0)
+            pairs = [_rising(1 << l, 0, sx, sy, p, stirling_first(q, l), 0)
+                     for l in range(1, q + 1)]
+            yield QSqrt2(*map(sum, zip(*pairs)), math.factorial(p) * math.factorial(q))
         else:
             if terms is None:  # c(p,0) = 0 for p >= 1: k runs over 1..p
                 terms = [stirling_first(p, k) * math.prod(range(1 << k, (1 << k) + q))

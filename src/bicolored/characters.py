@@ -3,7 +3,7 @@
 import math
 
 from .enumeration import DEGREE_CAP, CapExceeded
-from .exact import _ONE, QSqrt2, stirling_first
+from .exact import _ONE, QSqrt2, _rising, stirling_first
 from .perm import cycle_type, total_cycles, type_tally
 
 # twisted_refusal's work model: `char twisted 64 3/2 64 sqrt2` is 3.5e11 steps, and
@@ -103,33 +103,20 @@ def twisted_refusal(p, z, q, zprime):
     return None
 
 
-def _rising(x, y, sx, sy, n, ra, rb):
-    """(ra + rb sqrt2) prod_{j<n} (x + j sx + (y + j sy) sqrt2), as the integer pair (A, B)."""
-    if not (y or sy):
-        r = math.prod(range(x, x + n * sx, sx))
-        return ra * r, rb * r
-    for _ in range(n):
-        ra, rb = ra * x + rb * (2 * y), ra * y + rb * x
-        x, y = x + sx, y + sy
-    return ra, rb
-
-
 def _twisted_sum(p, z, q, zprime):
     """((chi_z, chi_z')) = sum_{k,l} c(p,k) c(q,l) w'^k w^(kl) / (p! q!), uncapped.
 
     With w = 1/z and w' = 1/z', the identity sum_l c(m,l) X^l = X^(m rising) sums out
     one side: the product is sum_k c(n,k) a^k (w^k b)^(m rising) / (n! m!), read off the
-    Stirling row of n, with (n, a, m, b) = (p, w', q, 1) when p <= q, or p <= DEGREE_CAP with
-    w rational and w' not (row q's bases w^l w' carry sqrt2), else (q, 1, p, w'). With
+    Stirling row of n, with (n, a, m, b) = (p, w', q, 1) when p <= q, or w rational and w'
+    not (row q's bases w^l w' carry sqrt2), else (q, 1, p, w'). With
     w = (u + v sqrt2)/d and w^k b = (x + y sqrt2)/t, the rising factorial is
     prod_{j<m} (x + j t + y sqrt2) / t^m, one math.prod when y = 0. Term k lies over s^k d_b^m
     with s = d^m d_a, so Horner steps A <- A s + c(n,k) N_k, N_k the numerator of a^k times
     that product, keep the sum as (A + B sqrt2)/(s^n d_b^m n! m!) in integers, reduced once.
-    `char twisted` reads it; the theorem bound only for p > DEGREE_CAP, past its own run's
-    reach (`bounds.theorem_bounds`).
     """
     w, wp = QSqrt2._coerce(z).inverse(), QSqrt2._coerce(zprime).inverse()
-    row_p = p <= q or (p <= DEGREE_CAP and not w.y and wp.y)
+    row_p = p <= q or (not w.y and wp.y)
     n, a, m, b = (p, wp, q, _ONE) if row_p else (q, _ONE, p, wp)
     u, v, d = w.x, w.y, w.d
     ua, va = a.x, a.y
@@ -158,6 +145,8 @@ def twisted_product(p, z, q, zprime):
         raise ValueError("degrees must be positive")
     z = QSqrt2._coerce(z)
     zprime = QSqrt2._coerce(zprime)
+    if z is None or zprime is None:
+        raise ValueError("bases must be elements of Q(sqrt 2)")
     if z == 0 or zprime == 0:
         raise ValueError("bases must be nonzero")
     refusal = twisted_refusal(p, z, q, zprime)

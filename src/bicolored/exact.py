@@ -36,6 +36,17 @@ def _sign(x, y):
     return sx if x * x > 2 * y * y else sy
 
 
+def _rising(x, y, sx, sy, n, ra, rb):
+    """(ra + rb sqrt2) prod_{j<n} (x + j sx + (y + j sy) sqrt2), as the integer pair (A, B)."""
+    if not (y or sy):
+        r = math.prod(range(x, x + n * sx, sx))
+        return ra * r, rb * r
+    for _ in range(n):
+        ra, rb = ra * x + rb * (2 * y), ra * y + rb * x
+        x, y = x + sx, y + sy
+    return ra, rb
+
+
 @functools.total_ordering
 class QSqrt2:
     """Exact element (x + y*sqrt(2))/d of Q(sqrt 2), with integers d > 0 and gcd(x, y, d) = 1."""

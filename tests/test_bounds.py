@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bicolored import cli, exact
+from bicolored import bounds, characters, cli, exact
 from bicolored.bounds import (BoundReport, HRow, _a, _falls, _tail, ao_bounds, bound_report,
                               growth_ratio, h_constant, ratio_table, tail_ratio, theorem_bound,
                               theorem_bounds, verify_H)
@@ -118,10 +118,34 @@ def test_theorem_bound_builds_stirling_rows_of_q(monkeypatch):
     monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
     theorem_bound(3, 64)
     assert max(exact._stirling_rows) == 3
-    # with p > q and q odd the bases of row q carry sqrt2, those of row p are rational
+    # with p <= 64 the run reads row p, whatever the parity of q
     monkeypatch.setattr(exact, "_stirling_rows", {0: (1,)})
     theorem_bound(64, 63)
     assert max(exact._stirling_rows) == 64
+
+
+def test_theorem_bound_past_row_p_sums_row_q(monkeypatch):
+    # the expected values come first: the k-loop oracle, and at (2048, 1), where the bound
+    # is sqrt2^p (sqrt2)^(p rising) / p!, the rising factorial
+    shapes = [(65, 2), (65, 63), (70, 3), (100, 40), (128, 32), (200, 20), (512, 8)]
+    want = [twisted_bound(p, q) for p, q in shapes]
+    shapes.append((2048, 1))
+    want.append(SQRT2 ** 2048 * rising_factorial(SQRT2, 2048) / math.factorial(2048))
+    run_want = [twisted_bound(65, 62), want[1]]
+
+    def refuse(*args):
+        raise AssertionError("the bound past row p reached a ring operation")
+
+    monkeypatch.setattr(characters, "_twisted_sum", refuse)
+    for name in ("inverse", "_over", "__mul__", "__pow__"):
+        monkeypatch.setattr(QSqrt2, name, refuse)
+    monkeypatch.setattr(exact, "pow2", refuse)
+    for (p, q), value in zip(shapes, want):
+        assert theorem_bound(p, q) == value, (p, q)
+    run = theorem_bounds(65, 62)
+    assert [next(run), next(run)] == run_want
+    assert not [name for name, value in vars(bounds).items()
+                if getattr(value, "__module__", None) == characters.__name__]
 
 
 def test_theorem_bound_not_symmetric():

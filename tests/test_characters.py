@@ -203,8 +203,15 @@ def test_twisted_product_theorem_values():
 def test_twisted_product_rejects_bad_args():
     with pytest.raises(ValueError):
         twisted_product(0, Fraction(1, 2), 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bases must be nonzero"):
         twisted_product(3, 0, 3, 2)
+    # a float or a string is no element of Q(sqrt 2), as for CyclicCharacter
+    for bad in (0.5, "1/2"):
+        for z, zp in [(bad, 2), (2, bad)]:
+            with pytest.raises(ValueError, match="elements of Q"):
+                twisted_product(2, z, 2, zp)
+        with pytest.raises(ValueError):
+            CyclicCharacter(2, bad)
     for p, q in [(65, 2), (2, 65)]:
         with pytest.raises(CapExceeded):
             twisted_product(p, Fraction(1, 2), q, 2)

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bicolored.exact import (QSqrt2, SQRT2, decimal_render, parse_qsqrt2, pow2, rising_factorial,
-                             stirling_first)
+from bicolored.exact import (QSqrt2, SQRT2, _rising, decimal_render, parse_qsqrt2, pow2,
+                             rising_factorial, stirling_first)
 from bicolored.perm import all_permutations, cycle_type, total_cycles
 
 # R = floor(10^60 sqrt2) / 10^60 lies just below sqrt2: 0 < sqrt2 - R < 10^-60, so
@@ -51,6 +51,19 @@ def test_rising_factorial():
     assert rising_factorial(SQRT2, 2) == QSqrt2(2, 1)
     with pytest.raises(ValueError):
         rising_factorial(QSqrt2(1), -1)
+
+
+def test_rising_matches_product_loop():
+    # the C path (y = sy = 0) with positive and negative steps, the pair path from a surd
+    # start or a surd step alone, and seeds other than 1
+    for x, y, sx, sy in [(3, 0, 2, 0), (5, 0, -3, 0), (-2, 0, 1, 0), (3, 1, 2, 0),
+                         (4, 0, 0, 1), (2, -1, -1, 3), (1, 2, 0, -2)]:
+        for ra, rb in [(1, 0), (-3, 2), (0, 5)]:
+            for n in (0, 1, 7):
+                want = QSqrt2(ra, rb)
+                for j in range(n):
+                    want = want * QSqrt2(x + j * sx, y + j * sy)
+                assert QSqrt2(*_rising(x, y, sx, sy, n, ra, rb)) == want, (x, y, sx, sy, n)
 
 
 def test_pow2():

@@ -186,8 +186,12 @@ def test_bound_check_compares_exactly(monkeypatch):
     # a bound a hair below the count fails, one equal to it passes
     tiny = Fraction(1, 10 ** 30)
     for shift, verdict in [(tiny, "FAIL"), (0, "pass")]:
-        monkeypatch.setattr(verify, "theorem_bound", lambda p, q, shift=shift:
-                            exact.QSqrt2(enumeration.count_exact(p, q)) - shift)
+        def run(p, q, shift=shift):  # the check reads one theorem_bounds run per p
+            while True:
+                yield exact.QSqrt2(enumeration.count_exact(p, q)) - shift
+                q += 1
+
+        monkeypatch.setattr(verify, "theorem_bounds", run)
         lines = collect(["bounds"])[1]
         assert line_for(lines, BOUND_DOMINATES) == "%s  bounds: %s" % (verdict, BOUND_DOMINATES)
 
