@@ -5,7 +5,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .enumeration import DEGREE_CAP, CapExceeded, count_exact, count_refusal
-from .exact import QSqrt2, _rising, _sign, decimal_render, stirling_first
+from .exact import QSqrt2, _render_quotient, _rising, _sign, stirling_first
 
 H_CONSTANTS = {0: 12, 1: 10, 2: 7}  # H_k = 1 for k >= 3
 
@@ -29,14 +29,23 @@ def theorem_bound(p, q):
 
 
 def theorem_bounds(p, q):
-    """theorem_bound(p, q), theorem_bound(p, q + 1), ... lazily, each q capped as it is reached.
+    """theorem_bound(p, q), theorem_bound(p, q + 1), ... lazily, each q capped as it is
+    reached: the run `_bound_run` of integers (A, B) over p! q!, one reduction per value."""
+    for q, (a, b) in enumerate(_bound_run(p, q), q):
+        yield QSqrt2(a, b, math.factorial(p) * math.factorial(q))
+
+
+def _bound_run(p, q):
+    """The integers (A, B) of T(p, q) = (A + B sqrt2) / (p! q!), then of T(p, q + 1), ...,
+    unreduced, each q capped as it is reached.
 
     Summed over the cycle count l of S_q, the bound is sum_k t_k sqrt2^((p-k)q) / (p! q!)
-    with t_k = c(p,k) R_k(q) and R_k(q) = prod_{j<q} (2^k + j): the integers A and B of
-    (A + B sqrt2) / (p! q!) sum t_k << floor((p-k)q/2) split by the parity of (p-k)q, and the
-    step to q+1 multiplies each t_k by 2^k + q. Row p is out of reach for p > DEGREE_CAP:
-    there each q sums out row p instead, sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q), one
-    `_rising` per l with sqrt2^q = sx + sy sqrt2.
+    with t_k = c(p,k) R_k(q) and R_k(q) = prod_{j<q} (2^k + j), the balanced product
+    `math.perm(2^k + q - 1, q)`: A and B sum t_k << floor((p-k)q/2) split by the parity
+    of (p-k)q, and the step to q+1 multiplies each t_k by 2^k + q. Row p is out of reach
+    for p > DEGREE_CAP: there each q sums out row p instead,
+    sum_l c(q,l) prod_{i<p} (2^l + i sqrt2^q), one `_rising` per l with
+    sqrt2^q = sx + sy sqrt2. Every term is positive, so A > 0 and B >= 0.
     """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
@@ -49,16 +58,16 @@ def theorem_bounds(p, q):
             sx, sy = (0, 1 << q // 2) if q % 2 else (1 << q // 2, 0)
             pairs = [_rising(1 << l, 0, sx, sy, p, stirling_first(q, l), 0)
                      for l in range(1, q + 1)]
-            yield QSqrt2(*map(sum, zip(*pairs)), math.factorial(p) * math.factorial(q))
+            yield tuple(map(sum, zip(*pairs)))
         else:
             if terms is None:  # c(p,0) = 0 for p >= 1: k runs over 1..p
-                terms = [stirling_first(p, k) * math.prod(range(1 << k, (1 << k) + q))
+                terms = [stirling_first(p, k) * math.perm((1 << k) + q - 1, q)
                          for k in range(1, p + 1)]
             parts = [0, 0]
             for k, t in enumerate(terms, 1):
                 shift, odd = divmod((p - k) * q, 2)
                 parts[odd] += t << shift
-            yield QSqrt2(*parts, math.factorial(p) * math.factorial(q))
+            yield tuple(parts)
             terms = [t * ((1 << k) + q) for k, t in enumerate(terms, 1)]
         q += 1
 
@@ -85,16 +94,24 @@ def bound_report(p, q, max_degree=DEGREE_CAP):
 
 def ratio_table(p_values, k_values):
     """Decimal table of ao_upper(p, p+k) / theorem_bound(p, p+k), six places; one
-    `theorem_bounds` run per row serves its consecutive k."""
+    `_bound_run` per row serves its consecutive k.
+
+    A cell is N p! q! / (D A + D B sqrt2), from ao_upper = N/D and the run's unreduced
+    (A, B): rendered by `_render_quotient`, it builds no QSqrt2 and takes no gcd or norm.
+    """
     rows = []
     for p in p_values:
         row, last = [], None
         for k in k_values:
-            _, upper = ao_bounds(p, p + k)  # first: its refusal of q > DEGREE_CAP is pinned
+            q = p + k
+            upper = ao_bounds(p, q)[1]  # first: its refusal of q > DEGREE_CAP is pinned
             if last is None or k != last + 1:  # a row's run serves consecutive k
-                run = theorem_bounds(p, p + k)
+                run = _bound_run(p, q)
             last = k
-            row.append(decimal_render(QSqrt2(upper) / next(run), 6))
+            a, b = next(run)
+            n, d = upper.numerator, upper.denominator
+            row.append(_render_quotient(n * math.factorial(p) * math.factorial(q), 0,
+                                        d * a, d * b, 6))
         rows.append(row)
     return rows
 
@@ -114,7 +131,7 @@ def _a(h, p, k):
     if h < 0 or h >= p or p == 1:
         return 0, 0
     m = p + k
-    n = math.comb(p, h) * (p - 1) ** (p - h) * math.prod(range(1 << h, (1 << h) + m))
+    n = math.comb(p, h) * (p - 1) ** (p - h) * math.perm((1 << h) + m - 1, m)
     return n, 2 * (p - h) + m * (p + h)
 
 

@@ -14,27 +14,6 @@ from .enumeration import (CapExceeded, CENSUS_CAP, DEGREE_CAP, count_exact, coun
 from .exact import decimal_render, parse_qsqrt2
 
 BASE_CAP = 256  # characters in a base literal of `char`
-# Decimal digits of the longest integer the CLI can print. A base literal spells its
-# integers in digits, with no exponent, so one of at most BASE_CAP characters is
-# (x + y sqrt2)/d with |x|, |y|, d < 10^BASE_CAP, and its inverse w
-# has integers under 2 * 100^BASE_CAP. A `char` value is
-# sum_{k,l} c(p,k) c(q,l) w^(kl) w'^k / (p! q!) with p, q <= DEGREE_CAP, so its integers
-# have fewer than (pq + p)(2 BASE_CAP + 1) + log10(p! q!) + 1 digits, and its decimal
-# rendering adds 7. `bound` prints shorter ones: about 16000 digits at p*q = 4096.
-PRINT_DIGITS = (DEGREE_CAP ** 2 + DEGREE_CAP) * (2 * BASE_CAP + 1) + 200
-
-
-@contextlib.contextmanager
-def _printable():
-    """Raise Python's int -> str digit limit to PRINT_DIGITS, restoring it on exit."""
-    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if old:
-        sys.set_int_max_str_digits(max(old, PRINT_DIGITS))
-    try:
-        yield
-    finally:
-        if old:
-            sys.set_int_max_str_digits(old)
 
 
 def _parse_base(text):
@@ -97,14 +76,13 @@ def cmd_count(args, out):
 
 def cmd_bound(args, out):
     report = bound_report(args.p, args.q, max_degree=args.max_degree)
-    with _printable():
-        results = {
-            "theorem_bound": str(report.theorem_bound),
-            "theorem_bound_decimal": decimal_render(report.theorem_bound, 6),
-            "places": 6,
-            "ao_lower": str(report.ao_lower),
-            "ao_upper": str(report.ao_upper),
-        }
+    results = {
+        "theorem_bound": str(report.theorem_bound),
+        "theorem_bound_decimal": decimal_render(report.theorem_bound, 6),
+        "places": 6,
+        "ao_lower": str(report.ao_lower),
+        "ao_upper": str(report.ao_upper),
+    }
     if report.exact is not None:
         results["exact"] = str(report.exact)
         results["sandwich_holds"] = bool(report.ao_lower <= report.exact <= report.ao_upper)
@@ -164,10 +142,7 @@ def cmd_char(args, out):
     else:
         value = twisted_product(args.p, _parse_base(args.z), args.q, _parse_base(args.zprime))
         params = {"op": "twisted", "p": args.p, "z": args.z, "q": args.q, "zprime": args.zprime}
-    with _printable():
-        results = {"value": str(value),
-                   "value_decimal": decimal_render(value, 6),
-                   "places": 6}
+    results = {"value": str(value), "value_decimal": decimal_render(value, 6), "places": 6}
     record = _record("char", params, results)
     _emit(record, args.format, out)
     return 0

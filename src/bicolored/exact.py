@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 
 # rows of signless Stirling numbers of the first kind, c(n, k) = _stirling_rows[n][k]
@@ -47,6 +48,71 @@ def _rising(x, y, sx, sy, n, ra, rb):
     return ra, rb
 
 
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+
+
+class _printable:
+    """A block in which the integers up to |n| convert to str: Python's digit limit on
+    int -> str is raised to their digit count if it is lower, and restored on exit."""
+
+    __slots__ = ("digits", "old")
+
+    def __init__(self, n):
+        self.digits = abs(n).bit_length() // 3 + 1  # 2^3 < 10: at least the digits of |n|
+
+    def __enter__(self):
+        self.old = _int_str_limit()
+        if 0 < self.old < self.digits:
+            sys.set_int_max_str_digits(self.digits)
+
+    def __exit__(self, *exc):
+        if 0 < self.old < self.digits:
+            sys.set_int_max_str_digits(self.old)
+
+
+_GUARD_BITS = 64  # bits the guess of `_floor_quotient` keeps beyond its quotient
+
+
+def _floor_quotient(n, m, a, b):
+    """floor((n + m sqrt2) / (a + b sqrt2)) for integers n, m, a, b with a > 0, b >= 0.
+
+    For b = 0 it is (n + floor(m sqrt2)) // a, one integer square root. For b > 0 it
+    takes no norm: it guesses g from the operands' top bits and settles g with `_sign`.
+
+    The guess is at most one step off. With L the bit length of max(a, b) and
+    E = max(0, W - L) for W that of max(|n|, |m|), write v for the quotient and
+    D = a + b sqrt2 >= 2^(L-1). Shifting all four integers right by s = L - E - G - 7
+    (G = _GUARD_BITS; no shift, and no error, if that is negative) moves the numerator
+    and D each by less than (1 + sqrt2) 2^s, so the quotient v' of the shifted
+    integers, |v'| < 2^(E+3), has
+    |v - v'| < (1 + sqrt2) 2^(s+1-L) (1 + |v'|) <= 2^(s-L+E+7) <= 2^-G. Then sqrt2 is
+    taken as R / 2^K with R = isqrt(2^(2K+1)), 0 <= sqrt2 - R/2^K = t < 2^-K; with
+    N', D' and m', b' those of the shifted integers, the guess u = (N' - m't)/(D' - b't)
+    has v' - u = t (m' - b'v') / (D' - b't), and D' - b't >= D'/2, |m'| < 2^(W-s),
+    b' <= D'/sqrt2, D' >= 2^(L-s-1) give |v' - u| < 2^(1-K) 2^(E+4) = 2^-G for
+    K = E + G + 5. So |v - u| < 2^(1-G) < 1 and, for g = floor(u), floor(v) is one of
+    g - 1, g, g + 1: each settling loop below steps at most once, and only one of them
+    steps.
+    """
+    if a <= 0 or b < 0:
+        raise ValueError("the divisor needs a > 0 and b >= 0")
+    if not b:
+        # floor(m sqrt2); m sqrt2 is irrational unless m = 0
+        root = math.isqrt(2 * m * m) if m >= 0 else -math.isqrt(2 * m * m) - 1
+        return (n + root) // a
+    top = max(a, b).bit_length()
+    excess = max(0, max(abs(n), abs(m)).bit_length() - top)
+    s = max(0, top - excess - _GUARD_BITS - 7)
+    k = excess + _GUARD_BITS + 5
+    r = math.isqrt(2 << 2 * k)
+    g = (((n >> s) << k) + (m >> s) * r) // (((a >> s) << k) + (b >> s) * r)
+    while _sign(n - g * a, m - g * b) < 0:
+        g -= 1
+    while _sign(n - (g + 1) * a, m - (g + 1) * b) >= 0:
+        g += 1
+    return g
+
+
 @functools.total_ordering
 class QSqrt2:
     """Exact element (x + y*sqrt(2))/d of Q(sqrt 2), with integers d > 0 and gcd(x, y, d) = 1."""
@@ -63,7 +129,7 @@ class QSqrt2:
             if d == 0:
                 raise ZeroDivisionError("denominator 0 in Q(sqrt 2)")
             a, b, d = -a, -b, -d
-        g = math.gcd(a, b, d)
+        g = math.gcd(d, a, b)  # d first: math.gcd folds left, and d is the small one
         self.x, self.y, self.d = a // g, b // g, d // g
 
     a = property(lambda self: Fraction(self.x, self.d), doc="The rational part x/d.")
@@ -184,7 +250,9 @@ class QSqrt2:
         def part(n):
             g = math.gcd(n, d)
             return "%d" % (n // g) if g == d else "%d/%d" % (n // g, d // g)
-        return "%s%s%s*sqrt2" % (part(self.x), "-" if self.y < 0 else "+", part(abs(self.y)))
+        with _printable(max(abs(self.x), abs(self.y), d)):
+            return "%s%s%s*sqrt2" % (part(self.x), "-" if self.y < 0 else "+",
+                                     part(abs(self.y)))
 
     __repr__ = __str__
 
@@ -237,21 +305,28 @@ def rising_factorial(x, n):
 
 
 def decimal_render(x, places):
-    """Decimal string of (x + y*sqrt2)/d, round-half-even, decided by exact integer comparison."""
+    """Decimal string of (x + y*sqrt2)/d, round-half-even, decided by exact integer comparison.
+
+    The floor under it is `_floor_quotient` with b = 0: one integer square root.
+    """
     if not 1 <= places <= 50:
         raise ValueError("places must be in 1..50")
     x = QSqrt2._coerce(x)
-    # 2 * 10^places * x = (n + m sqrt2) / d with integers n, m and d > 0
+    return _render_quotient(x.x, x.y, x.d, 0, places)
+
+
+def _render_quotient(n, m, a, b, places):
+    """Decimal string of (n + m sqrt2)/(a + b sqrt2), a > 0 and b >= 0, round-half-even."""
+    # 2 * 10^places times the quotient is (n + m sqrt2)/(a + b sqrt2) for the scaled n, m
     scale = 2 * 10 ** places
-    n, m, d = scale * x.x, scale * x.y, x.d
-    # floor(m sqrt2); m sqrt2 is irrational unless m = 0
-    root = math.isqrt(2 * m * m) if m >= 0 else -math.isqrt(2 * m * m) - 1
-    twice = (n + root) // d   # floor of twice the scaled value
+    n, m = scale * n, scale * m
+    twice = _floor_quotient(n, m, a, b)
     units = twice // 2
     # an odd floor is at or above the half-unit; it is an exact tie, which goes to the
-    # even neighbour, only when m = 0 and d | n
-    if twice % 2 and (m or n % d or units % 2):
+    # even neighbour, only when twice (a + b sqrt2) = n + m sqrt2
+    if twice % 2 and (twice * b != m or twice * a != n or units % 2):
         units += 1
     sign = "-" if units < 0 else ""
     units = abs(units)
-    return "%s%d.%0*d" % (sign, units // 10 ** places, places, units % 10 ** places)
+    with _printable(units):
+        return "%s%d.%0*d" % (sign, units // 10 ** places, places, units % 10 ** places)

@@ -232,6 +232,9 @@ def test_ratio_table_runs_match_cells(capsys):
         ["p=66"] + [cell(66, k) for k in range(-60, -57)])
     k_values = [4, 0, 1, 3, 2]
     assert ratio_table([5, 12], k_values) == [[cell(p, k) for k in k_values] for p in [5, 12]]
+    # (64, k=0), where p q reaches 4096, and a row of negative k
+    assert ratio_table([64], [0]) == [[cell(64, 0)]]
+    assert ratio_table([30], [-4, -3, -1]) == [[cell(30, k) for k in (-4, -3, -1)]]
     assert ratio_table(range(3, 6), range(0)) == [[], [], []]
 
 

@@ -2,12 +2,16 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from bicolored.exact import (QSqrt2, SQRT2, _rising, decimal_render, parse_qsqrt2, pow2,
-                             rising_factorial, stirling_first)
+from bicolored import cli, exact
+from bicolored.bounds import theorem_bound
+from bicolored.exact import (QSqrt2, SQRT2, _floor_quotient, _render_quotient, _rising,
+                             decimal_render, parse_qsqrt2, pow2, rising_factorial,
+                             stirling_first)
 from bicolored.perm import all_permutations, cycle_type, total_cycles
 
 # R = floor(10^60 sqrt2) / 10^60 lies just below sqrt2: 0 < sqrt2 - R < 10^-60, so
@@ -390,3 +394,103 @@ def test_qsqrt2_canonical_form():
     assert hash(QSqrt2(-3)) == hash(-3)
     with pytest.raises(ZeroDivisionError):
         QSqrt2(1, 1, 0)
+
+
+def _conjugate_route(n, m, a, b):
+    """(n + m sqrt2)/(a + b sqrt2) the way a QSqrt2 division takes it: times the
+    conjugate, over the norm a^2 - 2 b^2."""
+    return QSqrt2(n * a - 2 * m * b, m * a - n * b, a * a - 2 * b * b)
+
+
+def _quotient_operands(rng):
+    """Operands (n, m, a, b) with b > 0: a of 1 to 3000 bits, b and the numerator of
+    sizes around it, numerators of both signs and near-cancellation n = -m sqrt2 + e."""
+    bits = rng.choice([1, 2, 3, 8, 40, 64, 65, 130, 700, 3000])
+    a = rng.getrandbits(bits) | 1 << (bits - 1)
+    b = rng.getrandbits(max(1, bits + rng.randint(-bits, 4))) or 1
+    width = max(1, bits + rng.randint(-bits, 80))
+    m = rng.getrandbits(width) * rng.choice([-1, 0, 1])
+    if rng.random() < 0.3:  # n within a few units of -m sqrt2
+        root = math.isqrt(2 * m * m)
+        n = -root * (1 if m >= 0 else -1) + rng.randint(-3, 3)
+    else:
+        n = rng.getrandbits(max(1, width + rng.randint(-8, 8))) * rng.choice([-1, 1])
+    return n, m, a, b
+
+
+def test_floor_quotient_matches_conjugate_route(monkeypatch):
+    # the oracle divides by the conjugate and floors with one integer square root; the
+    # floor of a quotient with b > 0 takes neither, and settles in at most one step
+    calls = []
+
+    def counted(x, y):  # two tests, then at most one correction step
+        calls.append(1)
+        assert len(calls) <= 3, "more than one correction step"
+        return sign(x, y)
+
+    def floor(n, m, a, b):
+        calls.clear()
+        return _floor_quotient(n, m, a, b)
+    sign = exact._sign
+    monkeypatch.setattr(exact, "_sign", counted)
+    monkeypatch.setattr(exact, "_floor_quotient", floor)  # as `_render_quotient` calls it
+    rng = random.Random(34)
+    for _ in range(3000):
+        n, m, a, b = _quotient_operands(rng)
+        x = _conjugate_route(n, m, a, b)
+        assert floor(n, m, a, b) == floor(x.x, x.y, x.d, 0), (n, m, a, b)
+        places = rng.randint(1, 12)
+        assert (_render_quotient(n, m, a, b, places)
+                == decimal_render(x, places)), (n, m, a, b, places)
+    # zero and values just either side of it, and a quotient of thousands of bits
+    for n, m, a, b in [(0, 0, 1, 1), (0, 0, 5, 3 ** 900), (-1, 0, 3, 1), (1, -1, 1, 1),
+                       (-7, 5, 2, 3), (3 ** 2000, -2 ** 3000, 7, 5)]:
+        x = _conjugate_route(n, m, a, b)
+        assert floor(n, m, a, b) == floor(x.x, x.y, x.d, 0)
+        assert _render_quotient(n, m, a, b, 6) == decimal_render(x, 6)
+    assert _render_quotient(0, 0, 5, 3, 6) == "0.000000"
+    assert _render_quotient(-1, 0, 10 ** 9, 1, 6) == "0.000000"  # above -1/2 unit
+    assert _render_quotient(1, -1, 1, 1, 6) == "-0.171573"  # (1 - sqrt2)/(1 + sqrt2)
+    with pytest.raises(ValueError):
+        floor(1, 1, 0, 1)
+    with pytest.raises(ValueError):
+        floor(1, 1, 1, -1)
+
+
+def test_render_quotient_exact_ties_go_even():
+    # with S = 2 10^places and a, b divisible by S, n = o a/S and m = o b/S make the
+    # value o/S for an odd o: exactly half a unit past o // 2 units, rounded to even
+    rng = random.Random(35)
+    for _ in range(400):
+        places = rng.randint(1, 8)
+        scale = 2 * 10 ** places
+        a0 = rng.getrandbits(rng.choice([1, 30, 300])) + 1
+        b0 = rng.getrandbits(rng.choice([1, 30, 300])) + 1
+        o = (2 * rng.randint(-10 ** 9, 10 ** 9) + 1)
+        got = _render_quotient(o * a0, o * b0, scale * a0, scale * b0, places)
+        assert got == decimal_render(QSqrt2(o, 0, scale), places)
+        assert got == decimal_render(_conjugate_route(o * a0, o * b0, scale * a0, scale * b0),
+                                     places)
+        units = o // 2 + (o // 2) % 2  # the even one of o // 2 and o // 2 + 1
+        assert Fraction(got) == Fraction(units, 10 ** places), (o, places)
+        # one unit of m off the tie: above it rounds up, below it down, whatever the parity
+        for step, b in [(1, b0), (-1, b0), (1, 0)]:
+            n, m, a = o * a0, o * b + step, scale * a0
+            got = _render_quotient(n, m, a, scale * b, places)
+            assert Fraction(got) == Fraction(o // 2 + (step > 0), 10 ** places), (o, places)
+            assert got == decimal_render(_conjugate_route(n, m, a, scale * b), places)
+
+
+def test_printing_past_the_digit_limit(capsys):
+    # str, repr and the decimal print the 7844-digit bound in-process, as `bound 4096 1`
+    # does, and leave Python's int -> str digit limit as it was
+    limit = sys.get_int_max_str_digits()
+    value = theorem_bound(4096, 1)
+    assert 0 < limit < value.x.bit_length() // 4
+    text, decimal = str(value), decimal_render(value, 6)
+    assert repr(value) == text
+    assert sys.get_int_max_str_digits() == limit
+    assert cli.main(["bound", "4096", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["  theorem_bound = " + text, "  theorem_bound_decimal = " + decimal]
+    assert sys.get_int_max_str_digits() == limit

@@ -128,6 +128,16 @@ GOLDEN = [
      "59f727e89ae7bd17004fbd1c88aa86795994803d46b085e4addd6a2d2aad3201"),
     (["verify", "--suite", "bounds", "--seed", "2"],
      "e279acf5ff9687f5c34f46b0e6c5003ca1c788cb20f71fcad7b9f46011a6f511"),
+    # taken before a table cell was rendered from the bound run's unreduced integers by
+    # one floor of a Q(sqrt 2) quotient: the default table, a column up to p q = 4096,
+    # and negative k in json
+    (["table"],
+     "de0bf6295c101db5df31eadb35b7c5306e0dfdcc89812f132f038f29074425fe"),
+    (["table", "--p-min", "1", "--p-max", "64", "--k-min", "0", "--k-max", "0"],
+     "86688abbea4f49644e28af74bc2007fccd91831e8c22af054662113f3873b01c"),
+    (["table", "--p-min", "2", "--p-max", "30", "--k-min", "-1", "--k-max", "6",
+      "--format", "json"],
+     "836ce80b9238bff05fca736bbbac5a32cfa59ece5db678b4b5c7385aa88bbd21"),
 ]
 
 
