@@ -70,29 +70,25 @@ class _printable:
             sys.set_int_max_str_digits(self.old)
 
 
-_GUARD_BITS = 64  # bits the guess of `_floor_quotient` keeps beyond its quotient
+_GUARD_BITS = 64  # bits of sqrt2 that the guess of `_floor_quotient` keeps past its quotient
 
 
 def _floor_quotient(n, m, a, b):
     """floor((n + m sqrt2) / (a + b sqrt2)) for integers n, m, a, b with a > 0, b >= 0.
 
     For b = 0 it is (n + floor(m sqrt2)) // a, one integer square root. For b > 0 it
-    takes no norm: it guesses g from the operands' top bits and settles g with `_sign`.
+    takes no norm: it guesses g from the whole integers, with sqrt2 taken to K bits,
+    and settles g with `_sign`.
 
-    The guess is at most one step off. With L the bit length of max(a, b) and
-    E = max(0, W - L) for W that of max(|n|, |m|), write v for the quotient and
-    D = a + b sqrt2 >= 2^(L-1). Shifting all four integers right by s = L - E - G - 7
-    (G = _GUARD_BITS; no shift, and no error, if that is negative) moves the numerator
-    and D each by less than (1 + sqrt2) 2^s, so the quotient v' of the shifted
-    integers, |v'| < 2^(E+3), has
-    |v - v'| < (1 + sqrt2) 2^(s+1-L) (1 + |v'|) <= 2^(s-L+E+7) <= 2^-G. Then sqrt2 is
-    taken as R / 2^K with R = isqrt(2^(2K+1)), 0 <= sqrt2 - R/2^K = t < 2^-K; with
-    N', D' and m', b' those of the shifted integers, the guess u = (N' - m't)/(D' - b't)
-    has v' - u = t (m' - b'v') / (D' - b't), and D' - b't >= D'/2, |m'| < 2^(W-s),
-    b' <= D'/sqrt2, D' >= 2^(L-s-1) give |v' - u| < 2^(1-K) 2^(E+4) = 2^-G for
-    K = E + G + 5. So |v - u| < 2^(1-G) < 1 and, for g = floor(u), floor(v) is one of
-    g - 1, g, g + 1: each settling loop below steps at most once, and only one of them
-    steps.
+    The guess is at most one step off. With L the bit length of max(a, b), W that of
+    max(|n|, |m|) and E = max(0, W - L), write N = n + m sqrt2, D = a + b sqrt2 >=
+    2^(L-1) and v = N/D. With R = isqrt(2^(2K+1)), t = sqrt2 - R/2^K lies in [0, 2^-K),
+    and the guess u = (n 2^K + m R)/(a 2^K + b R) = (N - m t)/(D - b t) has
+    v - u = t (m - b v)/(D - b t). As |m| < 2^W and b <= D/sqrt2,
+    |m - b v| <= |m| + |N|/sqrt2 < 2^(W+2) and D - b t >= D/2, so
+    |v - u| < 2^(E+4-K) = 2^-(G+1) for K = E + G + 5 (G = _GUARD_BITS). Then, for
+    g = floor(u), floor(v) is one of g - 1, g, g + 1: each settling loop below steps
+    at most once, and only one of them steps.
     """
     if a <= 0 or b < 0:
         raise ValueError("the divisor needs a > 0 and b >= 0")
@@ -100,12 +96,10 @@ def _floor_quotient(n, m, a, b):
         # floor(m sqrt2); m sqrt2 is irrational unless m = 0
         root = math.isqrt(2 * m * m) if m >= 0 else -math.isqrt(2 * m * m) - 1
         return (n + root) // a
-    top = max(a, b).bit_length()
-    excess = max(0, max(abs(n), abs(m)).bit_length() - top)
-    s = max(0, top - excess - _GUARD_BITS - 7)
+    excess = max(0, max(abs(n), abs(m)).bit_length() - max(a, b).bit_length())
     k = excess + _GUARD_BITS + 5
     r = math.isqrt(2 << 2 * k)
-    g = (((n >> s) << k) + (m >> s) * r) // (((a >> s) << k) + (b >> s) * r)
+    g = ((n << k) + m * r) // ((a << k) + b * r)
     while _sign(n - g * a, m - g * b) < 0:
         g -= 1
     while _sign(n - (g + 1) * a, m - (g + 1) * b) >= 0:
@@ -176,9 +170,13 @@ class QSqrt2:
     __rmul__ = __mul__
 
     def inverse(self):
-        return _ONE._over(self)
+        """1/self, by the ring's one division, `__truediv__`."""
+        return _ONE / self
 
-    def _over(self, o):
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         # (x + y sqrt2)/d over (u + v sqrt2)/e is e (x + y sqrt2)(u - v sqrt2)/(d n), with
         # the norm n = u^2 - 2 v^2, in one constructor call, so one reduction; a negative n
         # is flipped into the numerator by the constructor
@@ -188,17 +186,11 @@ class QSqrt2:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
         return QSqrt2(o.d * (x * u - 2 * y * v), o.d * (y * u - x * v), self.d * n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._over(o)
-
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._over(self)
+        return o / self
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -286,12 +278,11 @@ def parse_qsqrt2(s):
 
 
 def pow2(e):
-    """2^e exactly, for an int or a half-integral Fraction e of either sign."""
+    """2^e exactly, for an int or a half-integral Fraction e of either sign: sqrt2^(2e),
+    by the ring's one power routine."""
     if not isinstance(e, (int, Fraction)) or Fraction(e).denominator > 2:
         raise ValueError("not a half-integer: %r" % (e,))
-    m, r = divmod(int(2 * e), 2)
-    num, den = (1 << m, 1) if m >= 0 else (1, 1 << -m)
-    return QSqrt2(0, num, den) if r else QSqrt2(num, 0, den)
+    return SQRT2 ** int(2 * e)
 
 
 def rising_factorial(x, n):
@@ -311,8 +302,10 @@ def decimal_render(x, places):
     """
     if not 1 <= places <= 50:
         raise ValueError("places must be in 1..50")
-    x = QSqrt2._coerce(x)
-    return _render_quotient(x.x, x.y, x.d, 0, places)
+    v = QSqrt2._coerce(x)
+    if v is None:
+        raise ValueError("value %r is not an element of Q(sqrt 2)" % (x,))
+    return _render_quotient(v.x, v.y, v.d, 0, places)
 
 
 def _render_quotient(n, m, a, b, places):

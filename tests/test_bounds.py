@@ -137,7 +137,7 @@ def test_theorem_bound_past_row_p_sums_row_q(monkeypatch):
         raise AssertionError("the bound past row p reached a ring operation")
 
     monkeypatch.setattr(characters, "_twisted_sum", refuse)
-    for name in ("inverse", "_over", "__mul__", "__pow__"):
+    for name in ("inverse", "__truediv__", "__mul__", "__pow__"):
         monkeypatch.setattr(QSqrt2, name, refuse)
     monkeypatch.setattr(exact, "pow2", refuse)
     for (p, q), value in zip(shapes, want):

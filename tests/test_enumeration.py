@@ -313,6 +313,31 @@ def test_h_row_counts_fixed_column_multisets():
         assert _h_row(e) == coeffs, mu.counts
 
 
+def test_h_row_ratio_lemma_on_every_cycle_type():
+    # (n+1) h_(n+1) <= (2^p + n) h_n on the kernel's own rows: every type fixes the
+    # all-zero column (PROOFS.md), and only the identity, e = [p] * 64, is equal at any n
+    for p in range(9):
+        for e, _ in _cycle_types(p, 64):
+            h = _h_row(e)
+            for n in range(64):
+                lhs, rhs = (n + 1) * h[n + 1], ((1 << p) + n) * h[n]
+                assert lhs <= rhs, (p, e, n)
+                assert (lhs == rhs) == (e == [p] * 64), (p, e, n)
+
+
+def test_multiset_ratio_is_at_least_one_and_never_rises():
+    # L(p, q) = p! |B_u(p,q)| / C(2^p + q - 1, q) as the integer pair (num, den)
+    for p in range(7):
+        last = None
+        for q in range(41):
+            num = math.factorial(p) * count_exact(p, q)
+            den = math.comb((1 << p) + q - 1, q)
+            assert num >= den, (p, q)
+            if last:
+                assert num * last[1] <= last[0] * den, (p, q)
+            last = num, den
+
+
 def test_count_matches_class_sum():
     pairs = [(p, q) for p in range(15) for q in range(15)] + [(6, 26), (26, 7), (10, 20)]
     for p, q in pairs:

@@ -160,6 +160,9 @@ def test_decimal_render():
     assert decimal_render(QSqrt2(0), 3) == "0.000"
     assert decimal_render(-SQRT2, 6) == "-1.414214"
     assert decimal_render(QSqrt2(1, -1), 6) == "-0.414214"
+    for outside in (0.5, "1"):
+        with pytest.raises(ValueError, match="value %r is not an element" % (outside,)):
+            decimal_render(outside, 6)
 
 
 def test_decimal_render_half_even():
