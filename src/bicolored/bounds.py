@@ -96,22 +96,22 @@ def ratio_table(p_values, k_values):
     """Decimal table of ao_upper(p, p+k) / theorem_bound(p, p+k), six places; one
     `_bound_run` per row serves its consecutive k.
 
-    A cell is N p! q! / (D A + D B sqrt2), from ao_upper = N/D and the run's unreduced
-    (A, B): rendered by `_render_quotient`, it builds no QSqrt2 and takes no gcd or norm.
+    Over the shared p! q!, ao_upper is 2 R with R = (2^q)^(p rising) = prod_{i<p} (2^q + i)
+    and T(p, q) is the run's unreduced A + B sqrt2, so a cell is 2 R / (A + B sqrt2):
+    rendered by `_render_quotient`, it builds no QSqrt2 or Fraction and takes no gcd or norm.
     """
     rows = []
     for p in p_values:
         row, last = [], None
         for k in k_values:
             q = p + k
-            upper = ao_bounds(p, q)[1]  # first: its refusal of q > DEGREE_CAP is pinned
+            if q > DEGREE_CAP:
+                ao_bounds(p, q)  # raises the refusal that tests pin for q > DEGREE_CAP
             if last is None or k != last + 1:  # a row's run serves consecutive k
                 run = _bound_run(p, q)
             last = k
-            a, b = next(run)
-            n, d = upper.numerator, upper.denominator
-            row.append(_render_quotient(n * math.factorial(p) * math.factorial(q), 0,
-                                        d * a, d * b, 6))
+            a, b = next(run)  # first: the run's p q cap comes before a huge R
+            row.append(_render_quotient(2 * math.perm((1 << q) + p - 1, p), 0, a, b, 6))
         rows.append(row)
     return rows
 

@@ -12,8 +12,7 @@ from .perm import generators, type_tally
 DEGREE_CAP = 64   # count_exact refuses degrees beyond this without an override
 CENSUS_CAP = 20   # orbit_census covers 2^(p q) subsets; cap on p*q
 # count_exact's work model, P(min(p,q)) max(p,q)^2, twice the kernel's shift-adds:
-# (36,36) is accepted and takes about 2.2 s on a 2-vCPU Xeon, (30,64) about 2.0 s,
-# (37,37) is refused
+# (36,36) and (30,64) are accepted, (37,37) is refused
 COUNT_BUDGET = 25_000_000
 
 
@@ -25,17 +24,12 @@ OrbitCensus = namedtuple("OrbitCensus", "p q orbit_count free_element_count tota
 
 
 def _partition_count(n):
-    """P(n) by Euler's pentagonal recurrence, without enumerating partitions."""
+    """P(n) without enumerating partitions: the parts 1..n are let in one at a time, and
+    counts[m] counts the partitions of m into the parts let in so far."""
     counts = [1] + [0] * n
-    for m in range(1, n + 1):
-        total, k = 0, 1
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * counts[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                total += sign * counts[m - k * (3 * k + 1) // 2]
-            k += 1
-        counts[m] = total
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
     return counts[n]
 
 

@@ -51,23 +51,18 @@ def _rising(x, y, sx, sy, n, ra, rb):
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
 
 
-class _printable:
-    """A block in which the integers up to |n| convert to str: Python's digit limit on
-    int -> str is raised to their digit count if it is lower, and restored on exit."""
-
-    __slots__ = ("digits", "old")
-
-    def __init__(self, n):
-        self.digits = abs(n).bit_length() // 3 + 1  # 2^3 < 10: at least the digits of |n|
-
-    def __enter__(self):
-        self.old = _int_str_limit()
-        if 0 < self.old < self.digits:
-            sys.set_int_max_str_digits(self.digits)
-
-    def __exit__(self, *exc):
-        if 0 < self.old < self.digits:
-            sys.set_int_max_str_digits(self.old)
+def _decimal(n):
+    """str(n) for an int of any size: Python's digit limit on int -> str, if set below
+    the digit count of n, is raised for this one conversion and then restored."""
+    digits = n.bit_length() // 3 + 1  # 2^3 < 10: at least the digits of n
+    old = _int_str_limit()
+    if not 0 < old < digits:
+        return str(n)
+    sys.set_int_max_str_digits(digits)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 _GUARD_BITS = 64  # bits of sqrt2 that the guess of `_floor_quotient` keeps past its quotient
@@ -114,8 +109,10 @@ class QSqrt2:
     __slots__ = ("x", "y", "d")
 
     def __init__(self, a=0, b=0, d=1):
-        """The element (a + b*sqrt(2))/d for rational a, b and a nonzero integer d."""
+        """The element (a + b*sqrt(2))/d for ints or Fractions a, b and a nonzero integer d."""
         if not (isinstance(a, int) and isinstance(b, int)):
+            if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
+                raise ValueError("parts %r, %r: each must be an int or a Fraction" % (a, b))
             a, b = Fraction(a), Fraction(b)
             a, b, d = (a.numerator * b.denominator, b.numerator * a.denominator,
                        d * a.denominator * b.denominator)
@@ -241,10 +238,8 @@ class QSqrt2:
 
         def part(n):
             g = math.gcd(n, d)
-            return "%d" % (n // g) if g == d else "%d/%d" % (n // g, d // g)
-        with _printable(max(abs(self.x), abs(self.y), d)):
-            return "%s%s%s*sqrt2" % (part(self.x), "-" if self.y < 0 else "+",
-                                     part(abs(self.y)))
+            return _decimal(n // g) if g == d else _decimal(n // g) + "/" + _decimal(d // g)
+        return part(self.x) + ("-" if self.y < 0 else "+") + part(abs(self.y)) + "*sqrt2"
 
     __repr__ = __str__
 
@@ -319,7 +314,5 @@ def _render_quotient(n, m, a, b, places):
     # even neighbour, only when twice (a + b sqrt2) = n + m sqrt2
     if twice % 2 and (twice * b != m or twice * a != n or units % 2):
         units += 1
-    sign = "-" if units < 0 else ""
-    units = abs(units)
-    with _printable(units):
-        return "%s%d.%0*d" % (sign, units // 10 ** places, places, units % 10 ** places)
+    whole, frac = divmod(abs(units), 10 ** places)
+    return "%s%s.%0*d" % ("-" if units < 0 else "", _decimal(whole), places, frac)

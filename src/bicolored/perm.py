@@ -71,6 +71,8 @@ class Permutation:
         """Build a permutation of {1,...,n} from disjoint cycles like (1,2,3)."""
         images = list(range(1, n + 1))
         for cyc in cycles:
+            if not all(1 <= a <= n for a in cyc):
+                raise ValueError("cycle %r has a point outside 1..%d" % (tuple(cyc), n))
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a - 1] = b
         return Permutation(images)

@@ -238,6 +238,20 @@ def test_ratio_table_runs_match_cells(capsys):
     assert ratio_table(range(3, 6), range(0)) == [[], [], []]
 
 
+def test_ratio_table_cells_match_the_reduced_ao_upper():
+    # the cell formula before it read the rising product: ao_upper = N/D reduced, then
+    # N p! q! / (D A + D B sqrt2) on the run's unreduced (A, B)
+    def cell(p, q, a, b):
+        upper = ao_bounds(p, q)[1]
+        n, d = upper.numerator, upper.denominator
+        return exact._render_quotient(n * math.factorial(p) * math.factorial(q), 0,
+                                      d * a, d * b, 6)
+    for p, ks in [(1, range(0, 64)), (30, range(-29, 35)), (64, range(-63, 1)),
+                  (65, range(-64, -1)), (66, range(-65, -3)), (70, range(-69, -11))]:
+        runs = bounds._bound_run(p, p + ks[0])
+        assert ratio_table([p], ks) == [[cell(p, p + k, *next(runs)) for k in ks]], p
+
+
 def test_growth_ratio():
     assert growth_ratio(1, 0) == 1
     assert growth_ratio(2, 0) == Fraction(7, 4)

@@ -9,8 +9,8 @@ import pytest
 
 from bicolored import cli, exact
 from bicolored.bounds import theorem_bound
-from bicolored.exact import (QSqrt2, SQRT2, _floor_quotient, _render_quotient, _rising,
-                             decimal_render, parse_qsqrt2, pow2, rising_factorial,
+from bicolored.exact import (QSqrt2, SQRT2, _decimal, _floor_quotient, _render_quotient,
+                             _rising, decimal_render, parse_qsqrt2, pow2, rising_factorial,
                              stirling_first)
 from bicolored.perm import all_permutations, cycle_type, total_cycles
 
@@ -399,6 +399,15 @@ def test_qsqrt2_canonical_form():
         QSqrt2(1, 1, 0)
 
 
+def test_qsqrt2_parts_are_ints_or_fractions():
+    # a float or a str part is refused, not read through Fraction: 0.1 would be
+    # 3602879701896397/2^55, and "1e9999" the literal that parse_qsqrt2 refuses
+    for a, b in [(0.1, 0), (1, 0.5), ("1e9999", 0), (0, "1"), (Fraction(1, 2), 2.0)]:
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            QSqrt2(a, b)
+    assert QSqrt2(True, Fraction(3, 2)) == QSqrt2(2, 3, 2)
+
+
 def _conjugate_route(n, m, a, b):
     """(n + m sqrt2)/(a + b sqrt2) the way a QSqrt2 division takes it: times the
     conjugate, over the norm a^2 - 2 b^2."""
@@ -497,3 +506,25 @@ def test_printing_past_the_digit_limit(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:3] == ["  theorem_bound = " + text, "  theorem_bound_decimal = " + decimal]
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int -> str digit limit")
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_decimal_past_the_digit_limit(limit):
+    # ints of exactly the limit's digit count and of one digit more, of either sign,
+    # convert; Python's limit is the same after each call (0 is no limit)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        digits = limit or 5000
+        if limit:
+            with pytest.raises(ValueError):
+                str(10 ** digits)  # one digit past the limit: str alone refuses
+        for d in (digits, digits + 1):
+            for n, text in [(10 ** (d - 1), "1" + "0" * (d - 1)), (10 ** d - 1, "9" * d)]:
+                assert _decimal(n) == text and _decimal(-n) == "-" + text
+                assert sys.get_int_max_str_digits() == limit
+        assert _decimal(0) == "0" and _decimal(-7) == "-7"
+    finally:
+        sys.set_int_max_str_digits(old)

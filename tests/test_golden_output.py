@@ -138,6 +138,11 @@ GOLDEN = [
     (["table", "--p-min", "2", "--p-max", "30", "--k-min", "-1", "--k-max", "6",
       "--format", "json"],
      "836ce80b9238bff05fca736bbbac5a32cfa59ece5db678b4b5c7385aa88bbd21"),
+    # taken before a table cell became 2 (2^q)^(p rising) / (A + B sqrt2): a row past
+    # p = 64, where each q sums out Stirling row q, with b > 0 floors at odd q
+    (["table", "--p-min", "65", "--p-max", "65", "--k-min", "-63", "--k-max", "-2",
+      "--format", "csv"],
+     "8d3c09fcc20e5aee2313a2dc6e7ff1080f68e6a90d5f7417012a836ccebcb8a4"),
 ]
 
 

@@ -16,6 +16,10 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation([0, 1])
     assert Permutation([]).n == 0
+    # a cycle point outside 1..n is refused, as a point of 0 or a repeated point is
+    for cycles in [((1, 4),), ((4, 1),), ((0, 1),), ((1, 2), (2, 3)), ((-1, 2),)]:
+        with pytest.raises(ValueError):
+            Permutation.from_cycles(3, *cycles)
 
 
 def test_cycle_type_examples():
