@@ -18,21 +18,15 @@ HRow = namedtuple("HRow", "h argmax_p max_log2 at_first")
 
 def theorem_bound(p, q):
     """2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}})), exact in Q(sqrt 2):
-    sum_{k,l} c(p,k) c(q,l) 2^(kl) sqrt2^(q(p-k)) / (p! q!), the first value of the run
-    `theorem_bounds(p, q)`.
+    sum_{k,l} c(p,k) c(q,l) 2^(kl) sqrt2^(q(p-k)) / (p! q!), the first (A, B) of the run
+    `_bound_run(p, q)` over p! q!, reduced once.
 
     Raises CapExceeded for p*q > DEGREE_CAP^2, which bounds its integers and keeps the
     Stirling row it reads within DEGREE_CAP, or for q > DEGREE_CAP, kept because tests pin
     it: (1, 65) is refused, `bound 3 65` exits 2, `bound 65 3` exits 0.
     """
-    return next(theorem_bounds(p, q))
-
-
-def theorem_bounds(p, q):
-    """theorem_bound(p, q), theorem_bound(p, q + 1), ... lazily, each q capped as it is
-    reached: the run `_bound_run` of integers (A, B) over p! q!, one reduction per value."""
-    for q, (a, b) in enumerate(_bound_run(p, q), q):
-        yield QSqrt2(a, b, math.factorial(p) * math.factorial(q))
+    a, b = next(_bound_run(p, q))
+    return QSqrt2(a, b, math.factorial(p) * math.factorial(q))
 
 
 def _bound_run(p, q):
@@ -161,12 +155,7 @@ def verify_H(k, h_max=64, p_max=512):
     """Per h, the p in h+1..p_max where a_{h,p} peaks; the contract is p = h+1 for h >= H_k.
 
     Each row walks p up from h+1 to the first p with rho_p < 1 (`_falls`) or to p_max. That
-    p is the maximum by the lemma: rho_{p+1} < rho_p for 1 <= h < p. Proof: from `_falls`,
-    rho_{p+1}/rho_p = A B C / 2 with A = (p+2)(p+1-h)/((p+1)(p+2-h)) <= 1,
-    B = (1-1/p^2)^(p-h) (1+1/p)^2 <= (1+1/p)^2 and C = 1 + 1/(2^h+p+k) <= 1 + 1/(p+2),
-    so for p >= 4 it is at most (25/16)(7/6)/2 = 175/192 < 1. The other cases are
-    (h,p) = (1,2), (1,3), (2,3), exactly 15/16, 64/81, 1280/1701 (<= 0.94, 0.80, 0.76) at
-    k = 0, and C, the only factor with k, only falls as k grows.
+    p is the maximum, as rho_p falls strictly in p (PROOFS.md, section 5).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

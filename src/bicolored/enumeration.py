@@ -134,7 +134,8 @@ def orbit_census(p, q, max_pq=CENSUS_CAP):
     preserves all three counts. Its S_c-orbit is the multiset of its c columns, each an
     r-bit value (Harary & Palmer, ch. 4), so the S_p x S_q-orbits are the S_r-orbits on
     column multisets. The walk takes its seeds from the sorted column tuples in
-    increasing order, in the orientation with fewer of them, C(2^r + c - 1, c).
+    increasing order, C(2^r + c - 1, c) of them, with r the shorter side: for r < c,
+    C(2^r + c - 1, c) < C(2^c + r - 1, r), so that orientation has fewer.
     """
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
@@ -144,7 +145,7 @@ def orbit_census(p, q, max_pq=CENSUS_CAP):
     if p * q == 0:
         # a single empty graph; free by the p=0 / q=0 convention
         return OrbitCensus(p, q, 1, 1, 1)
-    r, c = min((p, q), (q, p), key=lambda rc: math.comb((1 << rc[0]) + rc[1] - 1, rc[1]))
+    r, c = sorted((p, q))
     images = _row_images(r)
     r_order = math.factorial(r)
     c_order = math.factorial(c)

@@ -73,17 +73,7 @@ def _floor_quotient(n, m, a, b):
 
     For b = 0 it is (n + floor(m sqrt2)) // a, one integer square root. For b > 0 it
     takes no norm: it guesses g from the whole integers, with sqrt2 taken to K bits,
-    and settles g with `_sign`.
-
-    The guess is at most one step off. With L the bit length of max(a, b), W that of
-    max(|n|, |m|) and E = max(0, W - L), write N = n + m sqrt2, D = a + b sqrt2 >=
-    2^(L-1) and v = N/D. With R = isqrt(2^(2K+1)), t = sqrt2 - R/2^K lies in [0, 2^-K),
-    and the guess u = (n 2^K + m R)/(a 2^K + b R) = (N - m t)/(D - b t) has
-    v - u = t (m - b v)/(D - b t). As |m| < 2^W and b <= D/sqrt2,
-    |m - b v| <= |m| + |N|/sqrt2 < 2^(W+2) and D - b t >= D/2, so
-    |v - u| < 2^(E+4-K) = 2^-(G+1) for K = E + G + 5 (G = _GUARD_BITS). Then, for
-    g = floor(u), floor(v) is one of g - 1, g, g + 1: each settling loop below steps
-    at most once, and only one of them steps.
+    and settles g with `_sign`. The guess is at most one step off (PROOFS.md, section 6).
     """
     if a <= 0 or b < 0:
         raise ValueError("the divisor needs a > 0 and b >= 0")

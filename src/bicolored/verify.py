@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 
 from . import exact
-from .bounds import (_a, _tail, ao_bounds, growth_ratio, h_constant, ratio_table, theorem_bound,
-                     theorem_bounds, verify_H)
+from .bounds import (_a, _bound_run, _tail, ao_bounds, growth_ratio, h_constant, ratio_table,
+                     theorem_bound, verify_H)
 from .characters import (ClassFunctionTable, CyclicCharacter, avg_char, avg_char_naive,
                          char_eval, twisted_product, twisted_product_naive, verify_cyclic)
 from .cycleform import (GroupAlgebraElement, bound_1a_gap, bound_5_gap, bracket_prime_cycle,
@@ -317,10 +317,10 @@ def suite_bounds(rng):
     ok = theorem_bound(1, 1) == 2 and theorem_bound(2, 2) == 8
     checks.append(("character bound values at (1,1) and (2,2)", ok, ""))
 
-    ok = True
+    ok = True  # T(p, q) = (A + B sqrt2) / (p! q!) >= count iff A - count p! q! + B sqrt2 >= 0
     for p in range(1, 13):
-        for q, bound in zip(range(1, 13), theorem_bounds(p, 1)):
-            if bound < count_exact(p, q):
+        for q, (a, b) in zip(range(1, 13), _bound_run(p, 1)):
+            if exact._sign(a - count_exact(p, q) * math.factorial(p) * math.factorial(q), b) < 0:
                 ok = False
     checks.append(("character bound dominates the count, p,q <= 12, exact sign", ok, ""))
 

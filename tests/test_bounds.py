@@ -11,10 +11,12 @@ import pytest
 from bicolored import bounds, characters, cli, exact
 from bicolored.bounds import (BoundReport, HRow, _a, _falls, _tail, ao_bounds, bound_report,
                               growth_ratio, h_constant, ratio_table, tail_ratio, theorem_bound,
-                              theorem_bounds, verify_H)
+                              verify_H)
 from bicolored.characters import twisted_product, twisted_product_naive
+from bicolored.cycleform import cycle_form
 from bicolored.enumeration import DEGREE_CAP, CapExceeded, OrbitCensus, count_exact, orbit_census
 from bicolored.exact import QSqrt2, SQRT2, decimal_render, parse_qsqrt2, pow2, rising_factorial
+from bicolored.perm import partitions, total_cycles
 from bicolored.verify import _a_exact
 
 
@@ -47,6 +49,12 @@ def twisted_k_loop(p, z, q, zprime):
 def twisted_bound(p, q, product=twisted_k_loop):
     """The bound as the paper states it: 2^(pq/2) ((chi_{1/2}, chi_{2^{q/2}}))."""
     return pow2(Fraction(p * q, 2)) * product(p, Fraction(1, 2), q, pow2(Fraction(q, 2)))
+
+
+def bound_run(p, q):
+    """T(p, q), T(p, q + 1), ... as values: the run `bounds._bound_run` over p! q!."""
+    for q, (a, b) in enumerate(bounds._bound_run(p, q), q):
+        yield QSqrt2(a, b, math.factorial(p) * math.factorial(q))
 
 
 def test_theorem_bound_matches_twisted_product():
@@ -82,22 +90,22 @@ def test_theorem_bounds_run_matches_twisted_product():
     # each run covers both parities of q; those with p <= 64 also cross from p > q to
     # p <= q, and p = 65, 70 take the branch that cannot read row p
     for p, q0 in [(1, 1), (2, 1), (17, 15), (48, 46), (64, 61), (65, 2), (70, 3)]:
-        run = theorem_bounds(p, q0)
+        run = bound_run(p, q0)
         for q in range(q0, q0 + 4):
             assert next(run) == twisted_bound(p, q), (p, q)
 
 
 def test_theorem_bounds_caps_each_q_as_reached():
-    run = theorem_bounds(64, 60)
+    run = bound_run(64, 60)
     assert [next(run) for _ in range(5)] == [theorem_bound(64, q) for q in range(60, 65)]
     with pytest.raises(CapExceeded):
         next(run)  # q = 65
-    run = theorem_bounds(65, 62)
+    run = bound_run(65, 62)
     assert [next(run) for _ in range(2)] == [theorem_bound(65, 62), theorem_bound(65, 63)]
     with pytest.raises(CapExceeded):
         next(run)  # p*q = 4160
     with pytest.raises(ValueError):
-        next(theorem_bounds(3, 0))
+        next(bound_run(3, 0))
 
 
 def test_theorem_bound_caps():
@@ -142,7 +150,7 @@ def test_theorem_bound_past_row_p_sums_row_q(monkeypatch):
     monkeypatch.setattr(exact, "pow2", refuse)
     for (p, q), value in zip(shapes, want):
         assert theorem_bound(p, q) == value, (p, q)
-    run = theorem_bounds(65, 62)
+    run = bound_run(65, 62)
     assert [next(run), next(run)] == run_want
     assert not [name for name, value in vars(bounds).items()
                 if getattr(value, "__module__", None) == characters.__name__]
@@ -158,6 +166,23 @@ def test_theorem_bound_dominates_count():
     for p in range(1, 9):
         for q in range(1, 9):
             assert theorem_bound(p, q) >= count_exact(p, q)
+
+
+def test_character_bound_termwise_step():
+    # PROOFS.md section 4: 2 (gcd(r,s) - 1) <= (r - 1) s, equal exactly at r = 1 and at
+    # r = s = 2; summed over the cycles of a and b it gives the exponent bound behind T(p,q)
+    for r in range(1, 65):
+        for s in range(1, 65):
+            lhs, rhs = 2 * (math.gcd(r, s) - 1), (r - 1) * s
+            assert lhs <= rhs, (r, s)
+            assert (lhs == rhs) == (r == 1 or r == s == 2), (r, s)
+    for p in range(1, 9):
+        for q in range(1, 9):
+            for a in partitions(p):
+                ca = total_cycles(a)
+                for b in partitions(q):
+                    assert 2 * cycle_form(a, b) <= 2 * ca * total_cycles(b) + q * (p - ca), \
+                        (a.counts, b.counts)
 
 
 def test_ao_bounds_values():

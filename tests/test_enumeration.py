@@ -168,6 +168,15 @@ def test_census_matches_count_up_to_the_cap():
     assert time.perf_counter() - start < 5.0
 
 
+def test_census_rows_are_the_shorter_side():
+    # orbit_census puts the shorter side r < c on the rows, which has strictly fewer
+    # sorted column tuples: on every shape the census admits (c <= CENSUS_CAP), and on
+    # to c = 64
+    for c in range(2, max(CENSUS_CAP, 64) + 1):
+        for r in range(1, c):
+            assert math.comb((1 << r) + c - 1, c) < math.comb((1 << c) + r - 1, r), (r, c)
+
+
 def test_row_images():
     # none for S_1; at r = 2 the transposition and the cycle are one permutation, built once
     for r in range(1, 7):

@@ -1,5 +1,6 @@
 """The verify suites themselves: labels, determinism, and failure reporting."""
 
+import math
 import re
 import time
 from collections import Counter
@@ -183,15 +184,16 @@ def test_a_checks_compare_exact_values(monkeypatch):
 
 
 def test_bound_check_compares_exactly(monkeypatch):
-    # a bound a hair below the count fails, one equal to it passes
-    tiny = Fraction(1, 10 ** 30)
-    for shift, verdict in [(tiny, "FAIL"), (0, "pass")]:
-        def run(p, q, shift=shift):  # the check reads one theorem_bounds run per p
+    # over p! q!, a bound one unit below the count fails and one equal to it passes; so
+    # do -2 + sqrt2 and -1 + sqrt2 units off it, read exactly
+    for da, b, verdict in [(-1, 0, "FAIL"), (0, 0, "pass"), (-2, 1, "FAIL"), (-1, 1, "pass")]:
+        def run(p, q, da=da, b=b):  # the check reads one _bound_run per p
             while True:
-                yield exact.QSqrt2(enumeration.count_exact(p, q)) - shift
+                scaled = enumeration.count_exact(p, q) * math.factorial(p) * math.factorial(q)
+                yield scaled + da, b
                 q += 1
 
-        monkeypatch.setattr(verify, "theorem_bounds", run)
+        monkeypatch.setattr(verify, "_bound_run", run)
         lines = collect(["bounds"])[1]
         assert line_for(lines, BOUND_DOMINATES) == "%s  bounds: %s" % (verdict, BOUND_DOMINATES)
 
